@@ -2,7 +2,6 @@
 in heterogeneous LTE + mmWave networks."""
 from ._version import __version__
 from .channel import (
-    LinkState,
     LinkTable,
     achievable_rate,
     build_link_table,
@@ -24,7 +23,6 @@ from .config import (
 from .engine import (
     AssociationState,
     RunResult,
-    collect_campaign,
     derive_run_seed,
     initial_attach,
     realized_rates,
@@ -33,15 +31,11 @@ from .engine import (
     steady_state,
 )
 from .geometry import (
-    BaseStation,
-    Position,
     Snapshot,
     Tier,
-    VehicularNode,
     build_snapshot,
     deploy_base_stations,
     deploy_vehicles,
-    in_measurement_region,
 )
 from .metrics import (
     CellSummary,
@@ -56,22 +50,20 @@ from .metrics import (
     worst_decile_mean,
 )
 from .output import CSV_COLUMNS, OutputError, emit_results, write_results
-from .policy import AttachmentDecision, Policy, select_ms, select_mr, select_ra
+from .policy import NO_BS, POLICY_KERNELS, Policy
 
 __all__ = [
     "__version__",
-    "AssociationState", "AttachmentDecision", "BaseStation", "CellSummary",
-    "ChannelParams", "ConfigError", "CSV_COLUMNS", "LinkState", "LinkTable",
-    "OutputError", "Policy", "Position", "RunMetrics", "RunResult",
-    "ScenarioConfig", "Snapshot", "Tier", "TierRadio", "VehicularNode",
-    "achievable_rate", "build_link_table", "build_snapshot",
-    "collect_campaign", "compute_run_metrics", "config_from_dict",
-    "cumulative_gain", "deploy_base_stations", "deploy_vehicles",
-    "derive_run_seed", "emit_results", "in_measurement_region",
-    "initial_attach", "jain_index", "load_config", "los_probability_lte",
-    "los_probability_mmw", "lte_ratio", "mean_rate_per_class", "path_loss",
-    "realized_rates", "run_campaign", "run_once", "satisfaction_ratio",
-    "select_ms", "select_mr", "select_ra", "snr_db", "steady_state",
-    "summarize", "summarize_results", "validate_config", "worst_decile_mean",
+    "AssociationState", "CellSummary", "ChannelParams", "ConfigError",
+    "CSV_COLUMNS", "LinkTable", "NO_BS", "OutputError", "POLICY_KERNELS",
+    "Policy", "RunMetrics", "RunResult", "ScenarioConfig", "Snapshot", "Tier",
+    "TierRadio", "achievable_rate", "build_link_table", "build_snapshot",
+    "compute_run_metrics", "config_from_dict", "cumulative_gain",
+    "deploy_base_stations", "deploy_vehicles", "derive_run_seed",
+    "emit_results", "initial_attach", "jain_index", "load_config",
+    "los_probability_lte", "los_probability_mmw", "lte_ratio",
+    "mean_rate_per_class", "path_loss", "realized_rates", "run_campaign",
+    "run_once", "satisfaction_ratio", "snr_db", "steady_state", "summarize",
+    "summarize_results", "validate_config", "worst_decile_mean",
     "write_results",
 ]

@@ -1,10 +1,15 @@
 """Link-level channel model: LOS probabilities, path loss, antenna gain,
 SNR and the load-dependent Shannon rate, assembled per snapshot into an
-immutable link table."""
+immutable link table.
+
+The table is a set of (vehicle, station) matrices built in one pass over
+the snapshot's arrays. A tier has one carrier and one radio, so transmit
+power, bandwidth, carrier and array size are the tier's ``ChannelParams``
+entries; only the LOS state and the distances vary per link.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,19 +118,6 @@ def achievable_rate(snr_value_db: float, bandwidth_hz: float, load_m: int,
     return (bandwidth_hz / load_m) * math.log2(1.0 + snr_linear)
 
 
-@dataclass(frozen=True)
-class LinkState:
-    """Realized channel of one (vehicle, base station) pair."""
-
-    vn_id: int
-    bs_id: int
-    los: bool
-    path_loss_db: float
-    gain: float
-    snr_db: float
-    in_outage: bool
-
-
 class LinkTable:
     """Per-snapshot matrix of realized links, frozen after construction.
 
@@ -163,22 +155,6 @@ class LinkTable:
                     self.lte_indices):
             arr.setflags(write=False)
 
-    def link(self, vn_id: int, bs_id: int) -> LinkState:
-        return LinkState(
-            vn_id=vn_id,
-            bs_id=bs_id,
-            los=bool(self.los[vn_id, bs_id]),
-            path_loss_db=float(self.path_loss_db[vn_id, bs_id]),
-            gain=float(self.gain[vn_id, bs_id]),
-            snr_db=float(self.snr_db[vn_id, bs_id]),
-            in_outage=bool(self.in_outage[vn_id, bs_id]),
-        )
-
-    def rate_bps(self, vn_id: int, bs_id: int, load_m: int) -> float:
-        if load_m < 1:
-            raise ValueError("load_m must be >= 1")
-        return float(self.unit_rate_bps[vn_id, bs_id]) / load_m
-
 
 def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
                      params: ChannelParams | None = None,
@@ -186,52 +162,33 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
     """Realize every (vehicle, base station) link of one snapshot.
 
     LOS states are Bernoulli draws against the tier's distance-dependent
-    probability, taken once here and never resampled.
+    probability, one uniform per link, taken once here and never
+    resampled.
     """
     p = params or ChannelParams()
-    n_vn = len(snapshot.vehicles)
-    n_bs = len(snapshot.base_stations)
-    vx = np.array([v.pos.x for v in snapshot.vehicles], dtype=float)
-    vy = np.array([v.pos.y for v in snapshot.vehicles], dtype=float)
-    vz = np.array([v.pos.z for v in snapshot.vehicles], dtype=float)
-    ve = np.array([v.array_elements for v in snapshot.vehicles], dtype=float)
-    req = np.array([v.required_rate_bps for v in snapshot.vehicles], dtype=float)
-    bx = np.array([b.pos.x for b in snapshot.base_stations], dtype=float)
-    by = np.array([b.pos.y for b in snapshot.base_stations], dtype=float)
-    bz = np.array([b.pos.z for b in snapshot.base_stations], dtype=float)
-    be = np.array([b.array_elements for b in snapshot.base_stations], dtype=float)
-    btx = np.array([b.tx_power_dbm for b in snapshot.base_stations], dtype=float)
-    bbw = np.array([b.bandwidth_hz for b in snapshot.base_stations], dtype=float)
-    is_lte = np.array([b.tier is Tier.LTE for b in snapshot.base_stations], dtype=bool)
+    vn, bs = snapshot.vn_xy, snapshot.bs_xy
+    lte = snapshot.is_lte
+    mmw = ~lte
+    d2d = np.hypot(vn[:, 0, None] - bs[None, :, 0], vn[:, 1, None] - bs[None, :, 1])
+    d3d = np.maximum(np.hypot(d2d, p.vn_height_m - p.bs_height_m), p.min_distance_m)
 
-    d2d = np.hypot(vx[:, None] - bx[None, :], vy[:, None] - by[None, :])
-    d3d = np.maximum(np.hypot(d2d, vz[:, None] - bz[None, :]), p.min_distance_m)
-
-    p_los = np.empty((n_vn, n_bs), dtype=float)
-    if n_vn and n_bs:
-        p_los[:, is_lte] = los_probability_lte(d2d[:, is_lte] / 1000.0)
-        p_los[:, ~is_lte] = los_probability_mmw(d2d[:, ~is_lte])
+    p_los = np.empty(d2d.shape)
+    p_los[:, lte] = los_probability_lte(d2d[:, lte] / 1000.0)
+    p_los[:, mmw] = los_probability_mmw(d2d[:, mmw])
     if p.los_probability_override is not None:
         p_los.fill(p.los_probability_override)
-    los = rng.random(size=(n_vn, n_bs)) < p_los
+    los = rng.random(size=d2d.shape) < p_los
 
-    pl = np.empty((n_vn, n_bs), dtype=float)
-    gain = np.empty((n_vn, n_bs), dtype=float)
-    for tier, mask in ((Tier.LTE, is_lte), (Tier.MMWAVE, ~is_lte)):
-        if not mask.any() or n_vn == 0:
-            continue
-        carriers = {snapshot.base_stations[j].carrier_hz
-                    for j in np.flatnonzero(mask)}
-        for carrier in carriers:
-            cols = mask & np.array([b.carrier_hz == carrier
-                                    for b in snapshot.base_stations])
-            pl[:, cols] = path_loss(tier, los[:, cols], d3d[:, cols], carrier, p)
-        if tier is Tier.LTE:
-            gain[:, mask] = 1.0
-        else:
-            gain[:, mask] = ve[:, None] * be[None, mask]
+    pl = np.empty(d2d.shape)
+    gain = np.empty(d2d.shape)
+    tx = np.empty(len(bs))
+    bandwidth = np.empty(len(bs))
+    for tier, radio, cols in ((Tier.LTE, p.lte, lte), (Tier.MMWAVE, p.mmw, mmw)):
+        pl[:, cols] = path_loss(tier, los[:, cols], d3d[:, cols], radio.carrier_hz, p)
+        gain[:, cols] = cumulative_gain(tier, radio.array_elements, p.vn_array_elements)
+        tx[cols] = radio.tx_power_dbm
+        bandwidth[cols] = radio.bandwidth_hz
 
-    snr = snr_db(btx[None, :], gain, pl, bbw[None, :], p.noise_psd_dbm_per_hz) \
-        if n_vn and n_bs else np.zeros((n_vn, n_bs))
-    return LinkTable(snr, bbw, is_lte, req, snr_threshold_db,
+    snr = snr_db(tx[None, :], gain, pl, bandwidth[None, :], p.noise_psd_dbm_per_hz)
+    return LinkTable(snr, bandwidth, lte, snapshot.required_rate_bps, snr_threshold_db,
                      los=los, path_loss_db=pl, gain=gain)

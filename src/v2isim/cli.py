@@ -119,7 +119,7 @@ def _run_campaign(config: ScenarioConfig, args: argparse.Namespace) -> None:
     summaries = []
     rows = []
     cells_total = len(config.mmw_density_grid_per_km2) * len(config.policies)
-    for result in run_campaign(config, workers=max(1, args.parallel)):
+    for result in run_campaign(config, workers=args.parallel):
         rows.append(compute_run_metrics(result))
         if len(rows) == config.n_sim:
             summaries.append(summarize(rows))
@@ -134,6 +134,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.parallel < 1:
+            raise ConfigError(f"--parallel: must be >= 1, got {args.parallel}")
         config = _effective_config(args)
         if args.dump_run:
             _dump_run(config, args.dump_run, args.out)

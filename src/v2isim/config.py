@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from typing import Any, IO
+import types
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import IO, Any, Union, get_args, get_origin, get_type_hints
 
 POLICY_NAMES = ("MS", "MR", "RA")
 VN_MODES = ("PER_MMW_BS", "FIXED")
@@ -43,8 +44,6 @@ class ChannelParams:
     vn_height_m: float = 2.0
     min_distance_m: float = 1.0
     vn_array_elements: int = 16
-    # reserved: accepted in config files but only `false` is implemented
-    shadow_fading_enabled: bool = False
     # test hook: when set, every link uses this LOS probability
     los_probability_override: float | None = None
     lte: TierRadio = field(
@@ -82,8 +81,8 @@ class ScenarioConfig:
     n_sim: int = 2000
     master_seed: int = 1
     snr_threshold_db: float = -5.0
-    class_requirements_bps: tuple[float, ...] = (1e6, 10e6, 100e6, 1200e6)
-    class_probabilities: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
+    class_requirements_bps: tuple[float, float, float, float] = (1e6, 10e6, 100e6, 1200e6)
+    class_probabilities: tuple[float, float, float, float] = (0.25, 0.25, 0.25, 0.25)
     # x_min, x_max, y_min, y_max in meters; None -> central half-side square
     measurement_region_m: tuple[float, float, float, float] | None = None
     no_change_window_multiplier: float = 3.0
@@ -105,199 +104,67 @@ class ScenarioConfig:
         return replace(self, measurement_region_m=self.resolved_measurement_region())
 
     def to_dict(self) -> dict[str, Any]:
-        cfg = self.resolved()
-        ch = cfg.channel
-        return {
-            "area_km2": cfg.area_km2,
-            "lte_density_per_km2": cfg.lte_density_per_km2,
-            "mmw_density_grid_per_km2": list(cfg.mmw_density_grid_per_km2),
-            "policies": list(cfg.policies),
-            "vn_mode": cfg.vn_mode,
-            "vns_per_mmw_bs": cfg.vns_per_mmw_bs,
-            "fixed_vn_count": cfg.fixed_vn_count,
-            "n_sim": cfg.n_sim,
-            "master_seed": cfg.master_seed,
-            "snr_threshold_db": cfg.snr_threshold_db,
-            "class_requirements_bps": list(cfg.class_requirements_bps),
-            "class_probabilities": list(cfg.class_probabilities),
-            "measurement_region_m": list(cfg.measurement_region_m),
-            "no_change_window_multiplier": cfg.no_change_window_multiplier,
-            "pick_cap_multiplier": cfg.pick_cap_multiplier,
-            "channel": {
-                "noise_psd_dbm_per_hz": ch.noise_psd_dbm_per_hz,
-                "bs_height_m": ch.bs_height_m,
-                "vn_height_m": ch.vn_height_m,
-                "min_distance_m": ch.min_distance_m,
-                "vn_array_elements": ch.vn_array_elements,
-                "shadow_fading_enabled": ch.shadow_fading_enabled,
-                "los_probability_override": ch.los_probability_override,
-                "lte": _tier_to_dict(ch.lte),
-                "mmw": _tier_to_dict(ch.mmw),
-                "lte_pl_los_intercept_db": ch.lte_pl_los_intercept_db,
-                "lte_pl_los_distance_slope_db": ch.lte_pl_los_distance_slope_db,
-                "lte_pl_nlos_intercept_db": ch.lte_pl_nlos_intercept_db,
-                "lte_pl_nlos_distance_slope_db": ch.lte_pl_nlos_distance_slope_db,
-                "mmw_pl_los_intercept_db": ch.mmw_pl_los_intercept_db,
-                "mmw_pl_los_distance_slope_db": ch.mmw_pl_los_distance_slope_db,
-                "mmw_pl_los_frequency_slope_db": ch.mmw_pl_los_frequency_slope_db,
-                "mmw_pl_nlos_intercept_db": ch.mmw_pl_nlos_intercept_db,
-                "mmw_pl_nlos_distance_slope_db": ch.mmw_pl_nlos_distance_slope_db,
-                "mmw_pl_nlos_frequency_slope_db": ch.mmw_pl_nlos_frequency_slope_db,
-                "mmw_pl_nlos_height_slope_db": ch.mmw_pl_nlos_height_slope_db,
-            },
-        }
+        """The resolved configuration as a JSON-ready document, keyed by the
+        dataclass field names."""
+        return _to_dict(self.resolved())
 
 
-def _tier_to_dict(t: TierRadio) -> dict[str, Any]:
-    return {
-        "tx_power_dbm": t.tx_power_dbm,
-        "bandwidth_hz": t.bandwidth_hz,
-        "carrier_hz": t.carrier_hz,
-        "array_elements": t.array_elements,
-    }
+def _to_dict(obj: Any) -> Any:
+    if is_dataclass(obj):
+        return {f.name: _to_dict(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, tuple):
+        return [_to_dict(v) for v in obj]
+    return obj
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _as_float(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value: Any, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-    return value
-
-
-def _as_float_list(value: Any, path: str, length: int | None = None) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{path}: expected a list, got {value!r}")
-    if length is not None and len(value) != length:
-        raise ConfigError(f"{path}: expected {length} entries, got {len(value)}")
-    return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def _check_keys(doc: dict[str, Any], allowed: set[str], path: str) -> None:
-    unknown = sorted(set(doc) - allowed)
-    if unknown:
-        prefix = f"{path}." if path else ""
-        raise ConfigError(f"unknown key: {prefix}{unknown[0]}")
-
-
-_TIER_KEYS = {"tx_power_dbm", "bandwidth_hz", "carrier_hz", "array_elements"}
-
-_CHANNEL_KEYS = {
-    "noise_psd_dbm_per_hz", "bs_height_m", "vn_height_m", "min_distance_m",
-    "vn_array_elements", "shadow_fading_enabled", "los_probability_override",
-    "lte", "mmw",
-    "lte_pl_los_intercept_db", "lte_pl_los_distance_slope_db",
-    "lte_pl_nlos_intercept_db", "lte_pl_nlos_distance_slope_db",
-    "mmw_pl_los_intercept_db", "mmw_pl_los_distance_slope_db",
-    "mmw_pl_los_frequency_slope_db", "mmw_pl_nlos_intercept_db",
-    "mmw_pl_nlos_distance_slope_db", "mmw_pl_nlos_frequency_slope_db",
-    "mmw_pl_nlos_height_slope_db",
-}
-
-_TOP_KEYS = {
-    "area_km2", "lte_density_per_km2", "mmw_density_grid_per_km2", "policies",
-    "vn_mode", "vns_per_mmw_bs", "fixed_vn_count", "n_sim", "master_seed",
-    "snr_threshold_db", "class_requirements_bps", "class_probabilities",
-    "measurement_region_m", "no_change_window_multiplier",
-    "pick_cap_multiplier", "channel",
-}
-
-
-def _tier_from_dict(doc: dict[str, Any], base: TierRadio, path: str) -> TierRadio:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(doc, _TIER_KEYS, path)
-    kwargs: dict[str, Any] = {}
-    for key in ("tx_power_dbm", "bandwidth_hz", "carrier_hz"):
-        if key in doc:
-            kwargs[key] = _as_float(doc[key], f"{path}.{key}")
-    if "array_elements" in doc:
-        kwargs["array_elements"] = _as_int(doc["array_elements"], f"{path}.array_elements")
-    return replace(base, **kwargs)
-
-
-def _channel_from_dict(doc: dict[str, Any], base: ChannelParams) -> ChannelParams:
-    if not isinstance(doc, dict):
-        raise ConfigError("channel: expected an object")
-    _check_keys(doc, _CHANNEL_KEYS, "channel")
-    kwargs: dict[str, Any] = {}
-    for key in sorted(_CHANNEL_KEYS - {"lte", "mmw", "vn_array_elements",
-                                       "shadow_fading_enabled",
-                                       "los_probability_override"}):
-        if key in doc:
-            kwargs[key] = _as_float(doc[key], f"channel.{key}")
-    if "vn_array_elements" in doc:
-        kwargs["vn_array_elements"] = _as_int(doc["vn_array_elements"], "channel.vn_array_elements")
-    if "shadow_fading_enabled" in doc:
-        kwargs["shadow_fading_enabled"] = _as_bool(doc["shadow_fading_enabled"], "channel.shadow_fading_enabled")
-    if "los_probability_override" in doc and doc["los_probability_override"] is not None:
-        kwargs["los_probability_override"] = _as_float(
-            doc["los_probability_override"], "channel.los_probability_override")
-    if "lte" in doc:
-        kwargs["lte"] = _tier_from_dict(doc["lte"], base.lte, "channel.lte")
-    if "mmw" in doc:
-        kwargs["mmw"] = _tier_from_dict(doc["mmw"], base.mmw, "channel.mmw")
-    return replace(base, **kwargs)
+def _parse(value: Any, kind: Any, base: Any, path: str) -> Any:
+    """Convert one JSON value to the field type ``kind``; ``base`` is the
+    field's current value, which a nested object's absent keys keep."""
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'top level'}: expected an object")
+        hints = get_type_hints(kind)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise ConfigError(f"unknown key: {path + '.' if path else ''}{unknown[0]}")
+        return replace(base, **{
+            key: _parse(item, hints[key], getattr(base, key),
+                        f"{path}.{key}" if path else key)
+            for key, item in value.items()})
+    if get_origin(kind) in (Union, types.UnionType):  # X | None
+        if value is None:
+            return None
+        kind = next(arg for arg in get_args(kind) if arg is not type(None))
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if args[-1] is not Ellipsis and len(value) != len(args):
+            raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_parse(v, args[0], None, f"{path}[{i}]") for i, v in enumerate(value))
+    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    if kind in (int, str) and type(value) is kind:
+        return value
+    expected = {float: "a number", int: "an integer", str: "a string"}[kind]
+    raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed JSON document.
 
-    Absent keys take the defaults of Table-I-style parameters; unknown keys
-    are rejected with their dotted path.
+    The accepted keys and their types are the ScenarioConfig fields. Absent
+    keys take the defaults of Table-I-style parameters; unknown keys and
+    wrong types are rejected with their dotted path.
     """
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected a JSON object")
-    _check_keys(doc, _TOP_KEYS, "")
-    base = ScenarioConfig()
-    kwargs: dict[str, Any] = {}
-    for key in ("area_km2", "lte_density_per_km2", "snr_threshold_db",
-                "vns_per_mmw_bs", "no_change_window_multiplier",
-                "pick_cap_multiplier"):
-        if key in doc:
-            kwargs[key] = _as_float(doc[key], key)
-    for key in ("fixed_vn_count", "n_sim", "master_seed"):
-        if key in doc:
-            kwargs[key] = _as_int(doc[key], key)
-    if "mmw_density_grid_per_km2" in doc:
-        kwargs["mmw_density_grid_per_km2"] = _as_float_list(
-            doc["mmw_density_grid_per_km2"], "mmw_density_grid_per_km2")
-    if "policies" in doc:
-        pol = doc["policies"]
-        if not isinstance(pol, (list, tuple)):
-            raise ConfigError("policies: expected a list")
-        kwargs["policies"] = tuple(str(p) for p in pol)
-    if "vn_mode" in doc:
-        kwargs["vn_mode"] = str(doc["vn_mode"])
-    if "class_requirements_bps" in doc:
-        kwargs["class_requirements_bps"] = _as_float_list(
-            doc["class_requirements_bps"], "class_requirements_bps", 4)
-    if "class_probabilities" in doc:
-        kwargs["class_probabilities"] = _as_float_list(
-            doc["class_probabilities"], "class_probabilities", 4)
-    if "measurement_region_m" in doc and doc["measurement_region_m"] is not None:
-        region = _as_float_list(doc["measurement_region_m"], "measurement_region_m", 4)
-        kwargs["measurement_region_m"] = region
-    if "channel" in doc:
-        kwargs["channel"] = _channel_from_dict(doc["channel"], base.channel)
-    cfg = replace(base, **kwargs)
+    cfg = _parse(doc, ScenarioConfig, ScenarioConfig(), "")
     validate_config(cfg)
     return cfg
+
+
+def _require(cond: bool, msg: str) -> None:
+    if not cond:
+        raise ConfigError(msg)
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
@@ -342,8 +209,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(ch.min_distance_m > 0, "channel.min_distance_m: must be > 0")
     _require(ch.bs_height_m >= 0 and ch.vn_height_m >= 0,
              "channel.*_height_m: must be >= 0")
-    _require(not ch.shadow_fading_enabled,
-             "channel.shadow_fading_enabled: shadow fading is reserved, only false is supported")
     if ch.los_probability_override is not None:
         _require(0.0 <= ch.los_probability_override <= 1.0,
                  "channel.los_probability_override: must lie in [0, 1]")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -40,19 +40,6 @@ class AssociationState:
     def empty(cls, n_vn: int, n_bs: int) -> "AssociationState":
         return cls(np.full(n_vn, NO_BS, dtype=np.int64),
                    np.zeros(n_bs, dtype=np.int64))
-
-    def attach(self, vn: int, bs: int) -> None:
-        assert self.assignment[vn] == NO_BS, "vehicle already attached"
-        self.assignment[vn] = bs
-        if bs != NO_BS:
-            self.loads[bs] += 1
-
-    def detach(self, vn: int) -> None:
-        bs = self.assignment[vn]
-        if bs != NO_BS:
-            self.loads[bs] -= 1
-            assert self.loads[bs] >= 0, "negative load"
-        self.assignment[vn] = NO_BS
 
     def check(self) -> None:
         """Recount loads from the assignment and verify consistency."""
@@ -95,7 +82,7 @@ def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
     kernel = POLICY_KERNELS[policy]
     assignment, loads = state.assignment, state.loads
     for vn in range(link_table.n_vn):
-        bs, _ = kernel(link_table, vn, loads)
+        bs = kernel(link_table, vn, loads)
         assignment[vn] = bs
         if bs != NO_BS:
             loads[bs] += 1
@@ -134,7 +121,7 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
             old = assignment[vn]
             if old != NO_BS:
                 loads[old] -= 1
-            new, _ = kernel(link_table, vn, loads)
+            new = kernel(link_table, vn, loads)
             assignment[vn] = new
             if new != NO_BS:
                 loads[new] += 1
@@ -175,11 +162,6 @@ def run_once(config: ScenarioConfig, lambda_m: float, policy: Policy,
         pick_cap_multiplier=config.pick_cap_multiplier)
     rates = realized_rates(state, table)
 
-    region = snapshot.measurement_region_m
-    x = np.array([v.pos.x for v in snapshot.vehicles], dtype=float)
-    y = np.array([v.pos.y for v in snapshot.vehicles], dtype=float)
-    in_region = ((region[0] <= x) & (x <= region[1])
-                 & (region[2] <= y) & (y <= region[3]))
     tier = np.full(table.n_vn, TIER_NONE, dtype=np.int8)
     attached = state.assignment >= 0
     if attached.any():
@@ -190,9 +172,9 @@ def run_once(config: ScenarioConfig, lambda_m: float, policy: Policy,
     return RunResult(
         lambda_m=lambda_m,
         policy=policy,
-        class_k=np.array([v.class_k for v in snapshot.vehicles], dtype=np.int8),
-        in_region=in_region,
-        required_rate_bps=table.required_rate_bps.copy(),
+        class_k=snapshot.class_k.astype(np.int8),
+        in_region=snapshot.in_region,
+        required_rate_bps=snapshot.required_rate_bps.copy(),
         tier=tier,
         bs_id=state.assignment.copy(),
         rate_bps=rates,
@@ -246,8 +228,3 @@ def run_campaign(config: ScenarioConfig, *, workers: int = 1,
         else mp.get_context()
     with ctx.Pool(processes=workers) as pool:
         yield from pool.imap(_run_spec, specs, chunksize=4)
-
-
-def collect_campaign(config: ScenarioConfig, *, workers: int = 1,
-                     ) -> list[RunResult]:
-    return list(run_campaign(config, workers=workers))

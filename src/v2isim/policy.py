@@ -1,14 +1,14 @@
 """The three attachment decision rules.
 
-Every rule is a pure function of one vehicle, the link table and the
-current load vector. The load vector must NOT count the deciding vehicle:
-each candidate cell is evaluated at loads[j] + 1, i.e. the rate the
-vehicle would actually get after joining. Ties break toward the lowest
-base-station id.
+Each rule is a kernel in ``POLICY_KERNELS``: ``kernel(table, vn, loads)``
+returns the station index vehicle ``vn`` attaches to, or ``NO_BS`` when
+every station is in outage for it. The load vector must NOT count the
+deciding vehicle: each candidate cell is evaluated at loads[j] + 1, i.e.
+the rate the vehicle would actually get after joining. Ties break toward
+the lowest base-station id.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,49 +24,34 @@ class Policy(Enum):
     RA = "RA"
 
 
-@dataclass(frozen=True)
-class AttachmentDecision:
-    """Outcome of one policy evaluation.
-
-    chosen_bs is None only when every base station is in outage for this
-    vehicle; offered_rate_bps is the rate at the post-join load.
-    """
-
-    vn_id: int
-    chosen_bs: int | None
-    offered_rate_bps: float
-
-
-def _ms_choice(table: LinkTable, vn: int, loads) -> tuple[int, float]:
+def _ms_choice(table: LinkTable, vn: int, loads: np.ndarray) -> int:
+    """Attach to the base station with the highest SNR, load notwithstanding."""
     row = table.snr_db[vn]
     if row.size == 0:
-        return NO_BS, 0.0
+        return NO_BS
     j = int(np.argmax(row))
-    if row[j] < table.snr_threshold_db:
-        return NO_BS, 0.0
-    post_join = 1 if loads is None else int(loads[j]) + 1
-    return j, float(table.unit_rate_bps[vn, j]) / post_join
+    return NO_BS if row[j] < table.snr_threshold_db else j
 
 
-def _mr_choice(table: LinkTable, vn: int, loads) -> tuple[int, float]:
+def _mr_choice(table: LinkTable, vn: int, loads: np.ndarray) -> int:
+    """Attach to the base station offering the highest post-join rate."""
     rates = table.unit_rate_bps[vn] / (loads + 1.0)
     if rates.size == 0:
-        return NO_BS, 0.0
+        return NO_BS
     j = int(np.argmax(rates))
-    rate = float(rates[j])
-    if rate <= 0.0:
-        return NO_BS, 0.0
-    return j, rate
+    return NO_BS if rates[j] <= 0.0 else j
 
 
-def _ra_choice(table: LinkTable, vn: int, loads) -> tuple[int, float]:
+def _ra_choice(table: LinkTable, vn: int, loads: np.ndarray) -> int:
+    """Prefer the best LTE cell when its post-join rate strictly exceeds the
+    vehicle's required rate; otherwise fall back to the max-rate choice over
+    all cells."""
     lte = table.lte_indices
     if lte.size:
         lte_rates = table.unit_rate_bps[vn, lte] / (loads[lte] + 1.0)
         jl = int(np.argmax(lte_rates))
-        rate = float(lte_rates[jl])
-        if rate > table.required_rate_bps[vn]:
-            return int(lte[jl]), rate
+        if lte_rates[jl] > table.required_rate_bps[vn]:
+            return int(lte[jl])
     return _mr_choice(table, vn, loads)
 
 
@@ -75,25 +60,3 @@ POLICY_KERNELS = {
     Policy.MR: _mr_choice,
     Policy.RA: _ra_choice,
 }
-
-
-def _decision(vn: int, choice: tuple[int, float]) -> AttachmentDecision:
-    bs, rate = choice
-    return AttachmentDecision(vn, None if bs == NO_BS else bs, rate)
-
-
-def select_ms(vn: int, link_table: LinkTable, loads=None) -> AttachmentDecision:
-    """Attach to the base station with the highest SNR, load notwithstanding."""
-    return _decision(vn, _ms_choice(link_table, vn, loads))
-
-
-def select_mr(vn: int, link_table: LinkTable, loads) -> AttachmentDecision:
-    """Attach to the base station offering the highest post-join rate."""
-    return _decision(vn, _mr_choice(link_table, vn, loads))
-
-
-def select_ra(vn: int, link_table: LinkTable, loads) -> AttachmentDecision:
-    """Prefer the best LTE cell when its post-join rate strictly exceeds the
-    vehicle's required rate; otherwise fall back to the max-rate choice over
-    all cells."""
-    return _decision(vn, _ra_choice(link_table, vn, loads))

@@ -271,8 +271,9 @@ def prop_jain_bounds_and_scale_invariance(xs, scale):
        slope_cents=st.integers(25, 400), offset_cents=st.integers(-5000, 5000))
 def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
                                                       offset_cents):
-    from v2isim import select_ms
+    from v2isim import POLICY_KERNELS
 
+    ms_choice = POLICY_KERNELS[Policy.MS]
     snr = np.array([[c / 100.0 for c in snr_cents]])
     slope = slope_cents / 100.0
     offset = offset_cents / 100.0
@@ -280,7 +281,8 @@ def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
     base = make_table(snr, [1e9] * n, [False] * n)
     transformed = make_table(slope * snr + offset, [1e9] * n, [False] * n,
                              snr_threshold_db=slope * -5.0 + offset)
-    assert select_ms(0, base).chosen_bs == select_ms(0, transformed).chosen_bs
+    loads = np.zeros(n, dtype=np.int64)
+    assert ms_choice(base, 0, loads) == ms_choice(transformed, 0, loads)
 
 
 @PROPERTY_SETTINGS

@@ -227,12 +227,3 @@ class TestLinkTable:
         table = make_table([[10.0]], [1e9], [False])
         with pytest.raises(ValueError):
             table.snr_db[0, 0] = 0.0
-
-    def test_link_view(self, rng):
-        cfg = ScenarioConfig()
-        snap = build_snapshot(cfg, 8.0, rng)
-        table = build_link_table(snap, rng, cfg.channel)
-        if table.n_vn and table.n_bs:
-            link = table.link(0, 0)
-            assert link.snr_db == table.snr_db[0, 0]
-            assert link.in_outage == (link.snr_db < table.snr_threshold_db)

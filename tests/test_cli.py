@@ -49,6 +49,14 @@ class TestExitCodes:
         assert code == 1
         assert "n_sim" in err
 
+    def test_parallel_below_one_is_exit_1(self, capsys, fast_config):
+        for workers in ("0", "-3"):
+            code, out, err = run_cli(capsys, "--config", fast_config, *FAST,
+                                     "--parallel", workers)
+            assert code == 1
+            assert "--parallel" in err
+            assert out == ""
+
     def test_unwritable_out_is_exit_2(self, capsys, fast_config, tmp_path):
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"
         code, _, err = run_cli(capsys, "--config", fast_config, *FAST,

@@ -1,9 +1,18 @@
 import io
 import json
+import re
+from dataclasses import fields, is_dataclass
 
 import pytest
 
-from v2isim import ConfigError, ScenarioConfig, config_from_dict, load_config
+from v2isim import (
+    ChannelParams,
+    ConfigError,
+    ScenarioConfig,
+    TierRadio,
+    config_from_dict,
+    load_config,
+)
 
 
 class TestDefaults:
@@ -77,8 +86,11 @@ class TestValidation:
             config_from_dict({"lte_density_per_km2": -1})
 
     def test_shadow_fading_reserved(self):
-        with pytest.raises(ConfigError, match="shadow_fading_enabled"):
-            config_from_dict({"channel": {"shadow_fading_enabled": True}})
+        # shadow fading is not modelled; the key is not part of the schema
+        for value in (True, False):
+            with pytest.raises(ConfigError,
+                               match="unknown key: channel.shadow_fading_enabled"):
+                config_from_dict({"channel": {"shadow_fading_enabled": value}})
 
     def test_bad_region_rejected(self):
         with pytest.raises(ConfigError, match="measurement_region_m"):
@@ -133,3 +145,47 @@ class TestEcho:
     def test_resolved_region_echoed(self):
         doc = config_from_dict({}).to_dict()
         assert doc["measurement_region_m"] == [250.0, 750.0, 250.0, 750.0]
+
+
+def leaf_fields(obj, prefix=""):
+    """(dotted key, default value) of every settable leaf of a config."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from leaf_fields(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name, value
+
+
+def wrong_type(default):
+    """A JSON value of the wrong type for a field with this default."""
+    if isinstance(default, tuple):
+        return [wrong_type(default[0])] * len(default)
+    return {float: "1.0", int: 1.5, str: 7}.get(type(default), "x")
+
+
+def nested(key, value):
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
+
+
+LEAVES = sorted(leaf_fields(ScenarioConfig()))
+
+
+class TestSchema:
+    @pytest.mark.parametrize("key,default", LEAVES, ids=[k for k, _ in LEAVES])
+    def test_wrong_type_names_dotted_key(self, key, default):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            config_from_dict(nested(key, wrong_type(default)))
+
+    def test_leaf_count(self):
+        # 15 scenario fields, 17 channel scalars, 4 radio fields per tier
+        assert len(LEAVES) == 40
+
+    def test_echo_keys_are_the_fields(self):
+        doc = ScenarioConfig().to_dict()
+        assert set(doc) == {f.name for f in fields(ScenarioConfig)}
+        assert set(doc["channel"]) == {f.name for f in fields(ChannelParams)}
+        for tier in ("lte", "mmw"):
+            assert set(doc["channel"][tier]) == {f.name for f in fields(TierRadio)}

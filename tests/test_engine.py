@@ -4,10 +4,10 @@ import pytest
 from v2isim import (
     Policy,
     ScenarioConfig,
-    collect_campaign,
     derive_run_seed,
     initial_attach,
     realized_rates,
+    run_campaign,
     run_once,
     steady_state,
 )
@@ -165,11 +165,11 @@ class TestCampaign:
     def test_counts(self):
         cfg = ScenarioConfig(mmw_density_grid_per_km2=(4.0,), policies=("MS",),
                              n_sim=2, vn_mode="FIXED", fixed_vn_count=20)
-        assert len(collect_campaign(cfg)) == 2
+        assert len(list(run_campaign(cfg))) == 2
         cfg = ScenarioConfig(mmw_density_grid_per_km2=(4.0, 8.0),
                              policies=("MS", "MR", "RA"), n_sim=2,
                              vn_mode="FIXED", fixed_vn_count=20)
-        assert len(collect_campaign(cfg)) == 12
+        assert len(list(run_campaign(cfg))) == 12
 
     def test_seed_isolation_across_cells(self):
         # a run of cell (4, MS) is identical whether or not other cells run
@@ -179,8 +179,8 @@ class TestCampaign:
         cfg_many = ScenarioConfig(mmw_density_grid_per_km2=(4.0, 12.0),
                                   policies=("MS", "RA"), n_sim=2,
                                   vn_mode="FIXED", fixed_vn_count=30)
-        solo = [r for r in collect_campaign(cfg_one)]
-        full = [r for r in collect_campaign(cfg_many)
+        solo = list(run_campaign(cfg_one))
+        full = [r for r in run_campaign(cfg_many)
                 if r.lambda_m == 4.0 and r.policy is Policy.MS]
         assert len(solo) == len(full) == 2
         for a, b in zip(solo, full):
@@ -191,8 +191,8 @@ class TestCampaign:
         cfg = ScenarioConfig(mmw_density_grid_per_km2=(4.0, 8.0),
                              policies=("MS", "MR"), n_sim=2,
                              vn_mode="FIXED", fixed_vn_count=25)
-        seq = collect_campaign(cfg, workers=1)
-        par = collect_campaign(cfg, workers=2)
+        seq = list(run_campaign(cfg, workers=1))
+        par = list(run_campaign(cfg, workers=2))
         assert len(seq) == len(par)
         for a, b in zip(seq, par):
             assert a.lambda_m == b.lambda_m and a.policy is b.policy

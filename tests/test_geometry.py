@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from v2isim import (
-    Position,
     ScenarioConfig,
-    Tier,
+    Snapshot,
+    build_link_table,
     build_snapshot,
     deploy_base_stations,
     deploy_vehicles,
-    in_measurement_region,
 )
 
 CHI2_CRIT_15DOF_P001 = 37.697  # 0.1% tail of chi-square with 15 dof
@@ -16,19 +15,20 @@ CHI2_CRIT_15DOF_P001 = 37.697  # 0.1% tail of chi-square with 15 dof
 
 class TestDeployBaseStations:
     def test_zero_densities_give_empty_list(self, rng):
-        assert deploy_base_stations(0.0, 0.0, 1.0, rng) == []
+        xy, n_lte = deploy_base_stations(0.0, 0.0, 1.0, rng)
+        assert xy.shape == (0, 2)
+        assert n_lte == 0
 
     def test_poisson_mean_over_2000_draws(self):
         rng = np.random.default_rng(424242)
-        counts = [sum(1 for b in deploy_base_stations(4.0, 0.0, 1.0, rng)
-                      if b.tier is Tier.LTE) for _ in range(2000)]
+        counts = [deploy_base_stations(4.0, 0.0, 1.0, rng)[1] for _ in range(2000)]
         assert abs(np.mean(counts) - 4.0) < 0.15
 
     def test_poisson_mean_and_variance_3se(self):
         # mean and variance of Poisson(4) over 1e4 draws, each within 3 SE
         rng = np.random.default_rng(7)
         n = 10_000
-        counts = np.array([len(deploy_base_stations(0.0, 4.0, 1.0, rng))
+        counts = np.array([len(deploy_base_stations(0.0, 4.0, 1.0, rng)[0])
                            for _ in range(n)])
         lam = 4.0
         se_mean = np.sqrt(lam / n)
@@ -37,29 +37,29 @@ class TestDeployBaseStations:
         assert abs(counts.var(ddof=1) - lam) < 3 * se_var
 
     def test_mmw_parameters_per_tier(self, rng):
-        stations = deploy_base_stations(4.0, 80.0, 1.0, rng)
-        for bs in stations:
-            if bs.tier is Tier.MMWAVE:
-                assert bs.tx_power_dbm == 27.0
-                assert bs.bandwidth_hz == 1e9
-                assert bs.carrier_hz == 28e9
-                assert bs.array_elements == 64
-            else:
-                assert bs.tx_power_dbm == 46.0
-                assert bs.bandwidth_hz == 20e6
-                assert bs.carrier_hz == 2.4e9
-                assert bs.array_elements == 1
-            assert bs.pos.z == 30.0
-            assert 0.0 <= bs.pos.x <= 1000.0
-            assert 0.0 <= bs.pos.y <= 1000.0
+        # every station sits in the area, and each link column carries its
+        # tier's bandwidth and beamforming gain
+        cfg = ScenarioConfig()
+        snap = build_snapshot(cfg, 80.0, rng)
+        assert np.all((snap.bs_xy >= 0.0) & (snap.bs_xy <= 1000.0))
+        table = build_link_table(snap, rng, cfg.channel)
+        lte = snap.is_lte
+        assert np.all(table.bandwidth_hz[lte] == 20e6)
+        assert np.all(table.bandwidth_hz[~lte] == 1e9)
+        assert np.all(table.gain[:, lte] == 1.0)
+        assert np.all(table.gain[:, ~lte] == 64.0 * 16.0)
 
-    def test_ids_unique_and_lte_first(self, rng):
-        stations = deploy_base_stations(4.0, 20.0, 1.0, rng)
-        assert [b.id for b in stations] == list(range(len(stations)))
-        tiers = [b.tier for b in stations]
-        first_mmw = tiers.index(Tier.MMWAVE) if Tier.MMWAVE in tiers else len(tiers)
-        assert all(t is Tier.LTE for t in tiers[:first_mmw])
-        assert all(t is Tier.MMWAVE for t in tiers[first_mmw:])
+    def test_ids_unique_and_lte_first(self):
+        # draw order: LTE count and xy, then mmWave count and xy
+        rng = np.random.default_rng(31)
+        xy, n_lte = deploy_base_stations(4.0, 20.0, 1.0, rng)
+        replay = np.random.default_rng(31)
+        lte_count = int(replay.poisson(4.0))
+        lte_xy = replay.uniform(0.0, 1000.0, size=(lte_count, 2))
+        mmw_count = int(replay.poisson(20.0))
+        mmw_xy = replay.uniform(0.0, 1000.0, size=(mmw_count, 2))
+        assert n_lte == lte_count
+        assert np.array_equal(xy, np.concatenate([lte_xy, mmw_xy]))
 
     def test_negative_density_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -68,52 +68,50 @@ class TestDeployBaseStations:
 
 class TestDeployVehicles:
     def test_fixed_mode_places_exactly_500(self, rng):
-        vns = deploy_vehicles("FIXED", 10.0, 1.0, rng)
-        assert len(vns) == 500
+        xy, classes = deploy_vehicles("FIXED", 10.0, 1.0, rng)
+        assert xy.shape == (500, 2)
+        assert classes.shape == (500,)
 
     def test_class_fractions_over_2000_draws(self):
         rng = np.random.default_rng(99)
-        classes = []
-        for _ in range(2000):
-            classes.extend(v.class_k for v in deploy_vehicles("FIXED", 0.0, 1.0, rng,
-                                                              fixed_vn_count=10))
-        classes = np.array(classes)
+        classes = np.concatenate([
+            deploy_vehicles("FIXED", 0.0, 1.0, rng, fixed_vn_count=10)[1]
+            for _ in range(2000)])
         for k in range(1, 5):
             assert abs(np.mean(classes == k) - 0.25) < 0.01
 
     def test_per_mmw_bs_mean_count(self):
         # expectation oracle: 10 vehicles per station x mean 4 stations = 40
         rng = np.random.default_rng(4040)
-        counts = [len(deploy_vehicles("PER_MMW_BS", 4.0, 1.0, rng))
+        counts = [len(deploy_vehicles("PER_MMW_BS", 4.0, 1.0, rng)[0])
                   for _ in range(2000)]
         se = np.sqrt(40.0 / 2000)
         assert abs(np.mean(counts) - 40.0) < 3 * se
 
     def test_requirements_follow_class(self, rng):
         lookup = {1: 1e6, 2: 10e6, 3: 100e6, 4: 1200e6}
-        for v in deploy_vehicles("FIXED", 0.0, 1.0, rng, fixed_vn_count=200):
-            assert v.required_rate_bps == lookup[v.class_k]
-            assert v.array_elements == 16
-            assert v.pos.z == 2.0
+        cfg = ScenarioConfig(vn_mode="FIXED", fixed_vn_count=200)
+        snap = build_snapshot(cfg, 4.0, rng)
+        assert snap.class_k.shape == snap.required_rate_bps.shape == (200,)
+        for k, required in zip(snap.class_k, snap.required_rate_bps):
+            assert required == lookup[int(k)]
 
     def test_uniformity_chi_square_4x4(self):
         # 1e4 placements binned on a 4x4 grid; do not reject at the 0.1% level
         rng = np.random.default_rng(1234)
-        vns = deploy_vehicles("FIXED", 0.0, 1.0, rng, fixed_vn_count=10_000)
-        xs = np.array([v.pos.x for v in vns])
-        ys = np.array([v.pos.y for v in vns])
-        hist, _, _ = np.histogram2d(xs, ys, bins=4, range=[[0, 1000], [0, 1000]])
-        expected = len(vns) / 16.0
+        xy, _ = deploy_vehicles("FIXED", 0.0, 1.0, rng, fixed_vn_count=10_000)
+        hist, _, _ = np.histogram2d(xy[:, 0], xy[:, 1], bins=4,
+                                    range=[[0, 1000], [0, 1000]])
+        expected = len(xy) / 16.0
         chi2 = float(((hist - expected) ** 2 / expected).sum())
         assert chi2 < CHI2_CRIT_15DOF_P001
 
     def test_class_independent_of_position(self):
         # class-1 frequency inside vs outside the central square within 3 SE
         rng = np.random.default_rng(555)
-        vns = deploy_vehicles("FIXED", 0.0, 1.0, rng, fixed_vn_count=40_000)
-        inside = np.array([250.0 <= v.pos.x <= 750.0 and 250.0 <= v.pos.y <= 750.0
-                           for v in vns])
-        is_c1 = np.array([v.class_k == 1 for v in vns])
+        xy, classes = deploy_vehicles("FIXED", 0.0, 1.0, rng, fixed_vn_count=40_000)
+        inside = np.all((xy >= 250.0) & (xy <= 750.0), axis=1)
+        is_c1 = classes == 1
         p_in = is_c1[inside].mean()
         p_out = is_c1[~inside].mean()
         se = np.sqrt(0.25 * 0.75 * (1.0 / inside.sum() + 1.0 / (~inside).sum()))
@@ -124,20 +122,35 @@ class TestDeployVehicles:
             deploy_vehicles("GRID", 4.0, 1.0, rng)
 
 
-class TestMeasurementRegion:
-    def test_center_inside(self, rng):
-        snap = build_snapshot(ScenarioConfig(), 4.0, rng)
-        assert in_measurement_region(Position(500.0, 500.0, 2.0), snap)
+def snapshot_with_vehicles(*points):
+    """The default deployment region with the given vehicle positions."""
+    region = ScenarioConfig().resolved_measurement_region()
+    n = len(points)
+    return Snapshot(np.zeros((0, 2)), 0, np.array(points, dtype=float).reshape(n, 2),
+                    np.ones(n, dtype=int), np.zeros(n), region)
 
-    def test_corner_outside(self, rng):
-        snap = build_snapshot(ScenarioConfig(), 4.0, rng)
-        assert not in_measurement_region(Position(0.0, 0.0, 2.0), snap)
+
+class TestMeasurementRegion:
+    def test_center_inside(self):
+        assert snapshot_with_vehicles((500.0, 500.0)).in_region.tolist() == [True]
+
+    def test_corner_outside(self):
+        assert snapshot_with_vehicles((0.0, 0.0)).in_region.tolist() == [False]
 
     def test_boundary_is_closed(self, rng):
         snap = build_snapshot(ScenarioConfig(), 4.0, rng)
         assert snap.measurement_region_m == (250.0, 750.0, 250.0, 750.0)
-        assert in_measurement_region(Position(250.0, 250.0, 2.0), snap)
-        assert not in_measurement_region(Position(249.999, 250.0, 2.0), snap)
+        edges = snapshot_with_vehicles((250.0, 250.0), (750.0, 750.0),
+                                       (249.999, 250.0), (250.0, 750.001))
+        assert edges.in_region.tolist() == [True, True, False, False]
+
+
+def same_snapshot(a, b):
+    return (a.n_lte == b.n_lte and np.array_equal(a.bs_xy, b.bs_xy)
+            and np.array_equal(a.vn_xy, b.vn_xy)
+            and np.array_equal(a.class_k, b.class_k)
+            and np.array_equal(a.required_rate_bps, b.required_rate_bps)
+            and a.measurement_region_m == b.measurement_region_m)
 
 
 class TestSnapshotDeterminism:
@@ -145,10 +158,10 @@ class TestSnapshotDeterminism:
         cfg = ScenarioConfig()
         a = build_snapshot(cfg, 12.0, np.random.default_rng(2024))
         b = build_snapshot(cfg, 12.0, np.random.default_rng(2024))
-        assert a == b
+        assert same_snapshot(a, b)
 
     def test_different_seeds_differ(self):
         cfg = ScenarioConfig()
         a = build_snapshot(cfg, 12.0, np.random.default_rng(1))
         b = build_snapshot(cfg, 12.0, np.random.default_rng(2))
-        assert a != b
+        assert not same_snapshot(a, b)

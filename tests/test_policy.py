@@ -1,10 +1,15 @@
-import math
-
 import numpy as np
-import pytest
 
-from v2isim import select_ms, select_mr, select_ra
+from v2isim import NO_BS, POLICY_KERNELS, Policy
 from conftest import make_table
+
+ms_choice = POLICY_KERNELS[Policy.MS]
+mr_choice = POLICY_KERNELS[Policy.MR]
+ra_choice = POLICY_KERNELS[Policy.RA]
+
+
+def no_load(table):
+    return np.zeros(table.n_bs, dtype=np.int64)
 
 
 def lte_mmw_table(lte_snr, mmw_snr, required=0.0,
@@ -16,95 +21,76 @@ def lte_mmw_table(lte_snr, mmw_snr, required=0.0,
 class TestSelectMs:
     def test_single_station_above_threshold(self):
         table = make_table([[3.0]], [1e9], [False])
-        assert select_ms(0, table).chosen_bs == 0
+        assert ms_choice(table, 0, no_load(table)) == 0
 
     def test_ignores_load(self):
         table = make_table([[10.0, 12.0]], [1e9, 1e9], [False, False])
-        decision = select_ms(0, table, np.array([1, 1000]))
-        assert decision.chosen_bs == 1
+        assert ms_choice(table, 0, np.array([1, 1000])) == 1
 
     def test_exact_tie_takes_lowest_id(self):
         table = make_table([[7.0, 7.0, 7.0]], [1e9] * 3, [False] * 3)
-        assert select_ms(0, table).chosen_bs == 0
+        assert ms_choice(table, 0, no_load(table)) == 0
 
     def test_all_outage_returns_none(self):
         table = make_table([[-6.0, -10.0]], [1e9, 1e9], [False, False])
-        decision = select_ms(0, table)
-        assert decision.chosen_bs is None
-        assert decision.offered_rate_bps == 0.0
-
-    def test_offered_rate_uses_post_join_load(self):
-        table = make_table([[10.0]], [1e9], [False])
-        decision = select_ms(0, table, np.array([4]))
-        expected = 1e9 * math.log2(1.0 + 10.0) / 5
-        assert decision.offered_rate_bps == pytest.approx(expected, rel=1e-12)
+        assert ms_choice(table, 0, no_load(table)) == NO_BS
 
 
 class TestSelectMr:
     def test_bandwidth_beats_snr(self):
         # LTE at 30 dB offers ~199.3 Mbit/s, mmWave at 0 dB a full 1 Gbit/s
         table = lte_mmw_table(30.0, 0.0)
-        decision = select_mr(0, table, np.zeros(2, dtype=np.int64))
-        assert decision.chosen_bs == 1
-        assert decision.offered_rate_bps == pytest.approx(1e9, rel=1e-12)
+        assert mr_choice(table, 0, no_load(table)) == 1
 
     def test_heavy_load_flips_to_lte(self):
         table = lte_mmw_table(30.0, 0.0)
-        decision = select_mr(0, table, np.array([0, 999]))
-        assert decision.chosen_bs == 0
-        expected = 20e6 * math.log2(1.0 + 10.0 ** 3.0)
-        assert decision.offered_rate_bps == pytest.approx(expected, rel=1e-12)
+        assert mr_choice(table, 0, np.array([0, 999])) == 0
 
     def test_all_outage_returns_none(self):
         table = make_table([[-5.5, -20.0]], [1e9, 1e9], [False, False])
-        assert select_mr(0, table, np.zeros(2, dtype=np.int64)).chosen_bs is None
+        assert mr_choice(table, 0, no_load(table)) == NO_BS
 
     def test_rate_tie_takes_lowest_id(self):
         table = make_table([[10.0, 10.0]], [1e9, 1e9], [False, False])
-        assert select_mr(0, table, np.array([3, 3])).chosen_bs == 0
+        assert mr_choice(table, 0, np.array([3, 3])) == 0
 
 
 class TestSelectRa:
     def test_low_requirement_prefers_lte(self):
         # best LTE rate 5 Mbit/s > 1 Mbit/s requirement, mmWave 800 Mbit/s
         table = make_table([[0.0, 0.0]], [5e6, 800e6], [True, False], [1e6])
-        decision = select_ra(0, table, np.zeros(2, dtype=np.int64))
-        assert decision.chosen_bs == 0
-        assert decision.offered_rate_bps == pytest.approx(5e6, rel=1e-12)
+        assert ra_choice(table, 0, no_load(table)) == 0
 
     def test_high_requirement_falls_through_to_mr(self):
         # best LTE rate ~19 Mbit/s < 1.2 Gbit/s requirement
         table = make_table([[14.9, 10.0]], [20e6, 1e9], [True, False], [1200e6])
-        decision = select_ra(0, table, np.zeros(2, dtype=np.int64))
-        assert decision.chosen_bs == 1
+        assert ra_choice(table, 0, no_load(table)) == 1
 
     def test_boundary_equality_uses_mr_branch(self):
         # LTE rate exactly equals the requirement: strict inequality fails
         table = make_table([[0.0, 0.0]], [2e7, 1e9], [True, False], [2e7])
-        decision = select_ra(0, table, np.zeros(2, dtype=np.int64))
-        assert decision.chosen_bs == 1
+        assert ra_choice(table, 0, no_load(table)) == 1
 
     def test_no_lte_tier_equals_mr(self):
         table = make_table([[10.0, 12.0]], [1e9, 1e9], [False, False], [1e6])
         loads = np.array([5, 9])
-        assert select_ra(0, table, loads) == select_mr(0, table, loads)
+        assert ra_choice(table, 0, loads) == mr_choice(table, 0, loads)
 
     def test_lte_in_outage_equals_mr(self):
         table = make_table([[-7.0, 3.0, 8.0]], [20e6, 1e9, 1e9],
                            [True, False, False], [1e6])
-        loads = np.zeros(3, dtype=np.int64)
-        assert select_ra(0, table, loads) == select_mr(0, table, loads)
+        loads = no_load(table)
+        assert ra_choice(table, 0, loads) == mr_choice(table, 0, loads)
 
     def test_all_outage_returns_none(self):
         table = make_table([[-6.0, -9.0]], [20e6, 1e9], [True, False], [1e6])
-        assert select_ra(0, table, np.zeros(2, dtype=np.int64)).chosen_bs is None
+        assert ra_choice(table, 0, no_load(table)) == NO_BS
 
     def test_best_lte_chosen_by_rate_not_snr(self):
         # second LTE station has lower SNR but larger bandwidth-led rate
         table = make_table([[20.0, 10.0, -6.0]], [1e6, 40e6, 1e9],
                            [True, True, False], [2e6])
-        decision = select_ra(0, table, np.zeros(3, dtype=np.int64))
-        assert decision.chosen_bs == 1
+        assert ra_choice(table, 0, no_load(table)) == 1
 
 
 class TestDecisionInvariants:
@@ -116,13 +102,13 @@ class TestDecisionInvariants:
             b = rng.uniform(-30.0, 30.0)
             transformed = make_table(a * snr + b, [1e9] * 5, [False] * 5,
                                      snr_threshold_db=a * -5.0 + b)
-            assert select_ms(0, table).chosen_bs == \
-                select_ms(0, transformed).chosen_bs
+            assert ms_choice(table, 0, no_load(table)) == \
+                ms_choice(transformed, 0, no_load(transformed))
 
     def test_determinism(self, rng):
         snr = rng.uniform(-10, 40, size=(1, 6))
         table = make_table(snr, [1e9] * 6, [False, True] * 3, [5e6])
         loads = rng.integers(0, 20, size=6)
-        first = select_ra(0, table, loads)
+        first = ra_choice(table, 0, loads)
         for _ in range(5):
-            assert select_ra(0, table, loads) == first
+            assert ra_choice(table, 0, loads) == first
