@@ -28,6 +28,7 @@ from .engine import (
     realized_rates,
     run_campaign,
     run_once,
+    run_spec,
     steady_state,
 )
 from .geometry import (
@@ -46,24 +47,21 @@ from .metrics import (
     mean_rate_per_class,
     satisfaction_ratio,
     summarize,
-    summarize_results,
     worst_decile_mean,
 )
-from .output import CSV_COLUMNS, OutputError, emit_results, write_results
+from .output import CSV_COLUMNS, write_results
 from .policy import NO_BS, POLICY_KERNELS, Policy
 
 __all__ = [
-    "__version__",
-    "AssociationState", "CellSummary", "ChannelParams", "ConfigError",
-    "CSV_COLUMNS", "LinkTable", "NO_BS", "OutputError", "POLICY_KERNELS",
+    "__version__", "AssociationState", "CellSummary", "ChannelParams",
+    "ConfigError", "CSV_COLUMNS", "LinkTable", "NO_BS", "POLICY_KERNELS",
     "Policy", "RunMetrics", "RunResult", "ScenarioConfig", "Snapshot", "Tier",
     "TierRadio", "achievable_rate", "build_link_table", "build_snapshot",
     "compute_run_metrics", "config_from_dict", "cumulative_gain",
     "deploy_base_stations", "deploy_vehicles", "derive_run_seed",
-    "emit_results", "initial_attach", "jain_index", "load_config",
-    "los_probability_lte", "los_probability_mmw", "lte_ratio",
-    "mean_rate_per_class", "path_loss", "realized_rates", "run_campaign",
-    "run_once", "satisfaction_ratio", "snr_db", "steady_state", "summarize",
-    "summarize_results", "validate_config", "worst_decile_mean",
-    "write_results",
+    "initial_attach", "jain_index", "load_config", "los_probability_lte",
+    "los_probability_mmw", "lte_ratio", "mean_rate_per_class", "path_loss",
+    "realized_rates", "run_campaign", "run_once", "run_spec",
+    "satisfaction_ratio", "snr_db", "steady_state", "summarize",
+    "validate_config", "worst_decile_mean", "write_results",
 ]

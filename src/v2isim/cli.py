@@ -3,13 +3,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
-from typing import Sequence
+from typing import IO, Sequence
 
 from .config import ConfigError, ScenarioConfig, load_config, validate_config
-from .engine import derive_run_seed, run_campaign, run_once
+from .engine import run_campaign, run_spec
 from .metrics import compute_run_metrics, summarize
-from .output import OutputError, emit_results, write_run_dump
+from .output import write_results, write_run_dump
 from .policy import Policy
 
 EXIT_OK = 0
@@ -32,17 +33,6 @@ def _parse_lambda_list(text: str) -> tuple[float, ...]:
     if not values:
         raise ConfigError("--lambda-m: empty list")
     return values
-
-
-def _parse_dump_spec(text: str) -> tuple[float, str, int]:
-    try:
-        cell, index_text = text.rsplit(",", 1)
-        lambda_text, policy_name = cell.split(":")
-        return float(lambda_text), policy_name.strip().upper(), int(index_text)
-    except ValueError as exc:
-        raise ConfigError(
-            f"--dump-run: expected LAMBDA:POLICY,INDEX (e.g. 4:MS,0), got {text!r}"
-        ) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,28 +82,33 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
     return config
 
 
-def _dump_run(config: ScenarioConfig, spec: str, dest: str | None) -> None:
-    lambda_m, policy_name, run_index = _parse_dump_spec(spec)
+def _dump_spec(config: ScenarioConfig, args: argparse.Namespace,
+               ) -> tuple[ScenarioConfig, float, Policy, int]:
+    """The run that --dump-run names, checked against the config."""
+    if args.format != "csv":
+        raise ConfigError(f"--dump-run: writes csv only, not --format {args.format}")
     try:
-        policy = Policy(policy_name)
+        cell, index_text = args.dump_run.rsplit(",", 1)
+        lambda_text, policy_name = cell.split(":")
+        lambda_m, run_index = float(lambda_text), int(index_text)
+    except ValueError as exc:
+        raise ConfigError("--dump-run: expected LAMBDA:POLICY,INDEX (e.g. 4:MS,0), "
+                          f"got {args.dump_run!r}") from exc
+    try:
+        policy = Policy(policy_name.strip().upper())
     except ValueError as exc:
         raise ConfigError(f"--dump-run: unknown policy {policy_name!r}") from exc
     if run_index < 0 or run_index >= config.n_sim:
         raise ConfigError(f"--dump-run: run index {run_index} outside 0..{config.n_sim - 1}")
-    seed = derive_run_seed(config.master_seed, lambda_m, policy, run_index)
-    result = run_once(config, lambda_m, policy, seed)
-    result.run_index = run_index
-    if dest is None:
-        write_run_dump(result, sys.stdout, config)
-        return
     try:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_run_dump(result, fh, config)
-    except OSError as exc:
-        raise OutputError(f"cannot write run dump to {dest}: {exc}") from exc
+        validate_config(replace(config, mmw_density_grid_per_km2=(lambda_m,)))
+    except ConfigError as exc:
+        raise ConfigError(f"--dump-run: {exc}") from exc
+    return config, lambda_m, policy, run_index
 
 
-def _run_campaign(config: ScenarioConfig, args: argparse.Namespace) -> None:
+def _run_campaign(config: ScenarioConfig, args: argparse.Namespace,
+                  stream: IO[str]) -> None:
     # Results stream cell by cell in canonical order, so each cell is
     # reduced as soon as its n_sim runs are in and its rates are dropped.
     summaries = []
@@ -127,7 +122,7 @@ def _run_campaign(config: ScenarioConfig, args: argparse.Namespace) -> None:
             print(f"[v2isim] cell {len(summaries)}/{cells_total} done "
                   f"(lambda_m={result.lambda_m:g}, policy={result.policy.value})",
                   file=sys.stderr, flush=True)
-    emit_results(summaries, args.format, args.out, config)
+    write_results(summaries, args.format, stream, config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -137,14 +132,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.parallel < 1:
             raise ConfigError(f"--parallel: must be >= 1, got {args.parallel}")
         config = _effective_config(args)
-        if args.dump_run:
-            _dump_run(config, args.dump_run, args.out)
-        else:
-            _run_campaign(config, args)
+        dump = _dump_spec(config, args) if args.dump_run else None
+        # opened before the first run, so an unwritable --out fails at once
+        with (open(args.out, "w", encoding="utf-8", newline="") if args.out
+              else nullcontext(sys.stdout)) as stream:
+            if dump:
+                write_run_dump(run_spec(dump), stream, config)
+            else:
+                _run_campaign(config, args, stream)
     except ConfigError as exc:
         print(f"v2isim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OutputError, OSError) as exc:
+    except OSError as exc:
         print(f"v2isim: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

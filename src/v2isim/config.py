@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import IO, Any, Union, get_args, get_origin, get_type_hints
 
 POLICY_NAMES = ("MS", "MR", "RA")
+N_CLASSES = 4
 VN_MODES = ("PER_MMW_BS", "FIXED")
 
 DEFAULT_MMW_DENSITY_GRID = tuple(float(x) for x in range(4, 84, 4))
@@ -172,8 +173,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(cfg.area_km2 > 0, "area_km2: must be > 0")
     _require(cfg.lte_density_per_km2 >= 0, "lte_density_per_km2: must be >= 0")
     _require(len(cfg.mmw_density_grid_per_km2) > 0, "mmw_density_grid_per_km2: must be non-empty")
-    _require(all(d >= 0 for d in cfg.mmw_density_grid_per_km2),
-             "mmw_density_grid_per_km2: densities must be >= 0")
+    _require(all(math.isfinite(d) and d >= 0 for d in cfg.mmw_density_grid_per_km2),
+             "mmw_density_grid_per_km2: densities must be finite and >= 0")
     _require(len(set(cfg.mmw_density_grid_per_km2)) == len(cfg.mmw_density_grid_per_km2),
              "mmw_density_grid_per_km2: duplicate entry")
     _require(len(cfg.policies) > 0, "policies: must be non-empty")
@@ -185,6 +186,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(cfg.fixed_vn_count >= 0, "fixed_vn_count: must be >= 0")
     _require(cfg.n_sim >= 1, "n_sim: must be >= 1")
     _require(cfg.master_seed >= 0, "master_seed: must be >= 0")
+    for key in ("class_requirements_bps", "class_probabilities"):
+        count = len(getattr(cfg, key))
+        _require(count == N_CLASSES, f"{key}: expected {N_CLASSES} entries, got {count}")
     _require(all(r >= 0 for r in cfg.class_requirements_bps),
              "class_requirements_bps: rates must be >= 0")
     _require(all(p >= 0 for p in cfg.class_probabilities),

@@ -15,7 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .channel import LinkTable, build_link_table
-from .config import ScenarioConfig
+from .config import POLICY_NAMES, ScenarioConfig
 from .geometry import Snapshot, build_snapshot
 from .policy import NO_BS, POLICY_KERNELS, Policy
 
@@ -192,16 +192,10 @@ def derive_run_seed(master_seed: int, lambda_m: float, policy: Policy,
         entropy=(master_seed, lambda_key, policy_key, run_index))
 
 
-def _campaign_specs(config: ScenarioConfig) -> list[tuple[float, Policy, int]]:
-    policies = sorted((Policy(p) for p in config.policies),
-                      key=lambda p: list(Policy).index(p))
-    return [(lm, pol, run)
-            for lm in sorted(config.mmw_density_grid_per_km2)
-            for pol in policies
-            for run in range(config.n_sim)]
-
-
-def _run_spec(args: tuple[ScenarioConfig, float, Policy, int]) -> RunResult:
+def run_spec(args: tuple[ScenarioConfig, float, Policy, int]) -> RunResult:
+    """Run ``run_index`` of the (lambda_m, policy) cell of the campaign,
+    seeded as the campaign seeds it; the argument is one tuple so that a
+    worker pool can map over the specs."""
     config, lambda_m, policy, run_index = args
     seed = derive_run_seed(config.master_seed, lambda_m, policy, run_index)
     result = run_once(config, lambda_m, policy, seed)
@@ -217,14 +211,16 @@ def run_campaign(config: ScenarioConfig, *, workers: int = 1,
     index) regardless of the worker count, so downstream aggregation is
     byte-reproducible.
     """
-    specs = [(config, lm, pol, run) for lm, pol, run in _campaign_specs(config)]
+    policies = [Policy(p) for p in POLICY_NAMES if p in config.policies]
+    specs = [(config, lm, pol, run)
+             for lm in sorted(config.mmw_density_grid_per_km2)
+             for pol in policies for run in range(config.n_sim)]
     if workers <= 1:
-        for spec in specs:
-            yield _run_spec(spec)
+        yield from map(run_spec, specs)
         return
     import multiprocessing as mp
 
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() \
         else mp.get_context()
     with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(_run_spec, specs, chunksize=4)
+        yield from pool.imap(run_spec, specs, chunksize=4)

@@ -18,28 +18,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import N_CLASSES
 from .engine import RunResult, TIER_LTE
 
-N_CLASSES = 4
+
+def mean_rate_per_class(rates: np.ndarray) -> float:
+    """Average of one class's rates; NaN when the class is empty."""
+    return float(rates.mean()) if rates.size else math.nan
 
 
-def mean_rate_per_class(rates: np.ndarray, classes: np.ndarray, k: int) -> float:
-    """Average rate of class-k vehicles; NaN when the class is empty."""
-    sel = rates[classes == k]
-    return float(sel.mean()) if sel.size else math.nan
-
-
-def worst_decile_mean(rates: np.ndarray, classes: np.ndarray, k: int) -> float:
-    """Mean of the lowest ceil(10%) of class-k rates; NaN when empty."""
-    return _worst_decile(rates[classes == k])
-
-
-def _worst_decile(rates: np.ndarray) -> float:
-    sel = np.sort(rates)
-    if sel.size == 0:
+def worst_decile_mean(rates: np.ndarray) -> float:
+    """Mean of the lowest ceil(10%) of one class's rates; NaN when empty."""
+    if rates.size == 0:
         return math.nan
-    take = math.ceil(0.1 * sel.size)
-    return float(sel[:take].mean())
+    take = math.ceil(0.1 * rates.size)
+    return float(np.sort(rates)[:take].mean())
 
 
 def satisfaction_ratio(rates: np.ndarray, required: np.ndarray) -> float:
@@ -60,31 +53,30 @@ def lte_ratio(tier: np.ndarray) -> float:
     return float(np.mean(tier == TIER_LTE))
 
 
-def jain_index(rates: np.ndarray, classes: np.ndarray, k: int) -> float:
-    """Jain's fairness index over class-k rates; NaN for an empty class or
-    an all-zero rate vector (0/0)."""
-    sel = rates[classes == k]
-    if sel.size == 0:
+def jain_index(rates: np.ndarray) -> float:
+    """Jain's fairness index over one class's rates; NaN for an empty class
+    or an all-zero rate vector (0/0)."""
+    if rates.size == 0:
         return math.nan
-    total = sel.sum()
-    squares = np.square(sel).sum()
+    total = rates.sum()
+    squares = np.square(rates).sum()
     if squares == 0.0:
         return math.nan
-    return float(total * total / (sel.size * squares))
+    return float(total * total / (rates.size * squares))
 
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """One run reduced to the five evaluation metrics, plus the in-region
-    rates of each class (``class_rates_bps[k - 1]``), which the cell's
-    pooled worst-decile figure needs."""
+    """One run reduced to its LTE ratio, satisfaction ratio and per-class
+    mean rate and Jain index, plus the in-region rates of each class
+    (``class_rates_bps[k - 1]``), which the cell's pooled worst-decile
+    figure needs."""
 
     lambda_m: float
     policy_name: str
     p_lte: float
     p_sat: float
     mean_rate_bps: tuple[float, float, float, float]
-    p10_bps: tuple[float, float, float, float]
     jain: tuple[float, float, float, float]
     # arrays have no scalar ==, so they stay out of the generated __eq__
     class_rates_bps: tuple[np.ndarray, ...] = field(compare=False, repr=False)
@@ -98,16 +90,14 @@ def compute_run_metrics(result: RunResult) -> RunMetrics:
     classes = result.class_k[mask]
     required = result.required_rate_bps[mask]
     tier = result.tier[mask]
-    ks = range(1, N_CLASSES + 1)
-    class_rates = tuple(rates[classes == k] for k in ks)
+    class_rates = tuple(rates[classes == k] for k in range(1, N_CLASSES + 1))
     return RunMetrics(
         lambda_m=result.lambda_m,
         policy_name=result.policy.value,
         p_lte=lte_ratio(tier),
         p_sat=satisfaction_ratio(rates, required),
-        mean_rate_bps=tuple(mean_rate_per_class(rates, classes, k) for k in ks),
-        p10_bps=tuple(_worst_decile(sel) for sel in class_rates),
-        jain=tuple(jain_index(rates, classes, k) for k in ks),
+        mean_rate_bps=tuple(mean_rate_per_class(sel) for sel in class_rates),
+        jain=tuple(jain_index(sel) for sel in class_rates),
         class_rates_bps=class_rates,
         converged=result.converged,
         run_index=result.run_index,
@@ -139,7 +129,8 @@ class CellSummary:
     jain_se: tuple[float, ...]
 
 
-def _nan_mean_se(values: np.ndarray) -> tuple[float, float]:
+def _nan_mean_se(values: list[float]) -> tuple[float, float]:
+    values = np.array(values)
     defined = values[~np.isnan(values)]
     if defined.size == 0:
         return math.nan, math.nan
@@ -162,17 +153,13 @@ def summarize(run_metrics) -> CellSummary:
     if any(r.lambda_m != first.lambda_m or r.policy_name != first.policy_name
            for r in rows):
         raise ValueError("summarize expects runs from a single cell")
-    p_lte, p_lte_se = _nan_mean_se(np.array([r.p_lte for r in rows]))
-    p_sat, p_sat_se = _nan_mean_se(np.array([r.p_sat for r in rows]))
-    mean_rate, mean_rate_se, jain, jain_se = ([] for _ in range(4))
-    for k in range(N_CLASSES):
-        m, se = _nan_mean_se(np.array([r.mean_rate_bps[k] for r in rows]))
-        mean_rate.append(m)
-        mean_rate_se.append(se)
-        m, se = _nan_mean_se(np.array([r.jain[k] for r in rows]))
-        jain.append(m)
-        jain_se.append(se)
-    p10 = tuple(_worst_decile(np.concatenate([r.class_rates_bps[k] for r in rows]))
+    p_lte, p_lte_se = _nan_mean_se([r.p_lte for r in rows])
+    p_sat, p_sat_se = _nan_mean_se([r.p_sat for r in rows])
+    mean_rate, mean_rate_se = zip(*(_nan_mean_se([r.mean_rate_bps[k] for r in rows])
+                                    for k in range(N_CLASSES)))
+    jain, jain_se = zip(*(_nan_mean_se([r.jain[k] for r in rows])
+                          for k in range(N_CLASSES)))
+    p10 = tuple(worst_decile_mean(np.concatenate([r.class_rates_bps[k] for r in rows]))
                 for k in range(N_CLASSES))
     return CellSummary(
         lambda_m=first.lambda_m,
@@ -181,12 +168,7 @@ def summarize(run_metrics) -> CellSummary:
         nonconverged_runs=sum(1 for r in rows if not r.converged),
         p_lte=p_lte, p_lte_se=p_lte_se,
         p_sat=p_sat, p_sat_se=p_sat_se,
-        mean_rate_bps=tuple(mean_rate), mean_rate_se_bps=tuple(mean_rate_se),
+        mean_rate_bps=mean_rate, mean_rate_se_bps=mean_rate_se,
         p10_bps=p10,
-        jain=tuple(jain), jain_se=tuple(jain_se),
+        jain=jain, jain_se=jain_se,
     )
-
-
-def summarize_results(results) -> CellSummary:
-    """Convenience: summarize raw RunResults of one cell."""
-    return summarize(compute_run_metrics(r) for r in results)

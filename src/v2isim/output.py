@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from typing import IO, Iterable
 
 from ._version import __version__
-from .config import ScenarioConfig
+from .config import N_CLASSES, POLICY_NAMES, ScenarioConfig
 from .engine import RunResult, TIER_NAMES
-from .metrics import CellSummary, N_CLASSES
+from .metrics import CellSummary
 
 CSV_COLUMNS = (
     "lambda_m", "policy", "p_lte", "p_sat",
@@ -27,10 +26,6 @@ CSV_COLUMNS = (
 
 RUN_DUMP_COLUMNS = ("vn_id", "class_k", "in_region", "tier", "bs_id",
                     "required_rate_bps", "rate_bps")
-
-
-class OutputError(RuntimeError):
-    """I/O failure while writing results; carries the destination path."""
 
 
 def _fmt(value: float) -> str:
@@ -50,54 +45,34 @@ def config_header_lines(config: ScenarioConfig) -> list[str]:
     ]
 
 
-def _summary_cells(summary: CellSummary, seed: int) -> list[str]:
-    cells = [_fmt(summary.lambda_m), summary.policy_name,
-             _fmt(summary.p_lte), _fmt(summary.p_sat)]
+def _cell_values(summary: CellSummary, seed: int) -> list:
+    """One cell's row, in CSV_COLUMNS order."""
+    values = [float(summary.lambda_m), summary.policy_name,
+              summary.p_lte, summary.p_sat]
     for k in range(N_CLASSES):
-        cells += [_fmt(summary.mean_rate_bps[k]), _fmt(summary.p10_bps[k]),
-                  _fmt(summary.jain[k])]
-    cells += [str(summary.run_count), str(seed),
-              str(summary.nonconverged_runs)]
-    return cells
-
-
-def _summary_record(summary: CellSummary, seed: int) -> dict:
-    record: dict = {
-        "lambda_m": _round6(summary.lambda_m),
-        "policy": summary.policy_name,
-        "p_lte": _round6(summary.p_lte),
-        "p_sat": _round6(summary.p_sat),
-    }
-    for k in range(N_CLASSES):
-        record[f"mean_rate_{k + 1}_bps"] = _round6(summary.mean_rate_bps[k])
-        record[f"p10_{k + 1}_bps"] = _round6(summary.p10_bps[k])
-        record[f"jain_{k + 1}"] = _round6(summary.jain[k])
-    record["run_count"] = summary.run_count
-    record["seed"] = seed
-    record["nonconverged_runs"] = summary.nonconverged_runs
-    return record
-
-
-def _canonical(summaries: Iterable[CellSummary]) -> list[CellSummary]:
-    order = {"MS": 0, "MR": 1, "RA": 2}
-    return sorted(summaries,
-                  key=lambda s: (s.lambda_m, order.get(s.policy_name, 99)))
+        values += [summary.mean_rate_bps[k], summary.p10_bps[k], summary.jain[k]]
+    return values + [summary.run_count, seed, summary.nonconverged_runs]
 
 
 def write_results(summaries: Iterable[CellSummary], fmt: str, stream: IO[str],
                   config: ScenarioConfig) -> None:
+    """Header comment block, then one row per cell, ordered by density and
+    then by policy in POLICY_NAMES order."""
     for line in config_header_lines(config):
         stream.write(line + "\n")
-    rows = _canonical(summaries)
-    seed = config.master_seed
+    cells = sorted(summaries, key=lambda s: (s.lambda_m,
+                                             POLICY_NAMES.index(s.policy_name)))
+    rows = (_cell_values(summary, config.master_seed) for summary in cells)
     if fmt == "csv":
         stream.write(",".join(CSV_COLUMNS) + "\n")
-        for summary in rows:
-            stream.write(",".join(_summary_cells(summary, seed)) + "\n")
+        for values in rows:
+            stream.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                  for v in values) + "\n")
     elif fmt == "jsonl":
-        for summary in rows:
-            stream.write(json.dumps(_summary_record(summary, seed),
-                                    sort_keys=False) + "\n")
+        for values in rows:
+            stream.write(json.dumps({
+                column: _round6(v) if isinstance(v, float) else v
+                for column, v in zip(CSV_COLUMNS, values)}) + "\n")
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 
@@ -121,19 +96,3 @@ def write_run_dump(result: RunResult, stream: IO[str],
             _fmt(float(result.required_rate_bps[i])),
             _fmt(float(result.rate_bps[i])),
         ]) + "\n")
-
-
-def emit_results(summaries: Iterable[CellSummary], fmt: str,
-                 dest: str | os.PathLike[str] | IO[str] | None,
-                 config: ScenarioConfig) -> None:
-    """Write summaries to a path (or stream; None means stdout)."""
-    if dest is None or hasattr(dest, "write"):
-        import sys
-
-        write_results(summaries, fmt, dest or sys.stdout, config)
-        return
-    try:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_results(summaries, fmt, fh, config)
-    except OSError as exc:
-        raise OutputError(f"cannot write results to {dest}: {exc}") from exc

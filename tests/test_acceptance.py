@@ -251,11 +251,10 @@ rate_values = st.one_of(st.just(0.0), st.floats(1e3, 1e12))
     scale=st.floats(1e-4, 1e6))
 def prop_jain_bounds_and_scale_invariance(xs, scale):
     rates = np.asarray(xs)
-    classes = np.ones(len(xs), dtype=int)
-    j = jain_index(rates, classes, 1)
+    j = jain_index(rates)
     n = len(xs)
     assert 1.0 / n - 1e-12 <= j <= 1.0 + 1e-12
-    j_scaled = jain_index(rates * scale, classes, 1)
+    j_scaled = jain_index(rates * scale)
     assert abs(j_scaled - j) <= 1e-12 * max(1.0, j)
     positive = rates[rates > 0]
     if len(positive) == len(rates):

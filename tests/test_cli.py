@@ -57,12 +57,38 @@ class TestExitCodes:
             assert "--parallel" in err
             assert out == ""
 
+    # a JSON Infinity takes the same path, see test_config
+    @pytest.mark.parametrize("args", [
+        ["--lambda-m", "inf"],
+        ["--dump-run", "nan:MS,0"],
+        ["--dump-run", "inf:MS,0"],
+        ["--dump-run=-4:MS,0"],
+    ], ids=["lambda-m-inf", "dump-nan", "dump-inf", "dump-negative"])
+    def test_non_finite_or_negative_density_is_exit_1(self, capsys, args):
+        code, out, err = run_cli(capsys, *args, "--runs", "1", "--policy", "MS")
+        assert code == 1
+        assert "config error" in err and "mmw_density_grid_per_km2" in err
+        assert out == ""
+
     def test_unwritable_out_is_exit_2(self, capsys, fast_config, tmp_path):
+        # --out is opened before the first run, so no cell is simulated
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"
-        code, _, err = run_cli(capsys, "--config", fast_config, *FAST,
-                               "--out", str(dest))
-        assert code == 2
-        assert "i/o error" in err
+        for mode in ([*FAST], ["--runs", "2", "--dump-run", "4:MS,1"]):
+            code, _, err = run_cli(capsys, "--config", fast_config, *mode,
+                                   "--out", str(dest))
+            assert code == 2
+            assert "i/o error" in err and str(dest) in err
+            assert "cell 1/1 done" not in err
+
+    def test_config_error_leaves_out_untouched(self, capsys, fast_config, tmp_path):
+        dest = tmp_path / "out.csv"
+        dest.write_text("earlier results\n")
+        for bad in (["--dump-run", "4:XX,0"], ["--dump-run", "4:MS,9"],
+                    ["--lambda-m", "inf"]):
+            code, _, _ = run_cli(capsys, "--config", fast_config, *FAST, *bad,
+                                 "--out", str(dest))
+            assert code == 1
+            assert dest.read_text() == "earlier results\n"
 
 
 class TestCsvOutput:
@@ -185,3 +211,11 @@ class TestDumpRun:
         code, _, _ = run_cli(capsys, "--config", fast_config, "--runs", "2",
                              "--dump-run", "4:MS,5")
         assert code == 1
+
+    def test_jsonl_format_is_exit_1(self, capsys, fast_config):
+        # a run dump is per-vehicle CSV only; jsonl is not silently ignored
+        code, out, err = run_cli(capsys, "--config", fast_config, "--runs", "2",
+                                 "--format", "jsonl", "--dump-run", "4:MS,1")
+        assert code == 1
+        assert "--dump-run" in err and "jsonl" in err
+        assert out == ""

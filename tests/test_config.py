@@ -12,6 +12,7 @@ from v2isim import (
     TierRadio,
     config_from_dict,
     load_config,
+    validate_config,
 )
 
 
@@ -84,6 +85,21 @@ class TestValidation:
     def test_negative_density_rejected(self):
         with pytest.raises(ConfigError, match="lte_density_per_km2"):
             config_from_dict({"lte_density_per_km2": -1})
+
+    @pytest.mark.parametrize("grid", ["[-4]", "[Infinity]", "[4, -Infinity]", "[NaN]"])
+    def test_grid_density_must_be_finite_and_non_negative(self, grid):
+        doc = io.StringIO('{"mmw_density_grid_per_km2": %s}' % grid)
+        with pytest.raises(ConfigError, match="mmw_density_grid_per_km2: densities"):
+            load_config(doc)
+
+    @pytest.mark.parametrize("key,short", [
+        ("class_probabilities", (0.5, 0.5)),
+        ("class_requirements_bps", (1e6, 1e7, 1e8, 1e9, 1e10)),
+    ])
+    def test_class_vectors_need_four_entries(self, key, short):
+        # a ScenarioConfig built in Python skips the parser's length check
+        with pytest.raises(ConfigError, match=f"{key}: expected 4 entries"):
+            validate_config(ScenarioConfig(**{key: short}))
 
     def test_shadow_fading_reserved(self):
         # shadow fading is not modelled; the key is not part of the schema

@@ -4,6 +4,8 @@ import pytest
 from v2isim import (
     Policy,
     ScenarioConfig,
+    build_link_table,
+    build_snapshot,
     derive_run_seed,
     initial_attach,
     realized_rates,
@@ -159,6 +161,28 @@ class TestRunOnce:
         unattached = result.bs_id == -1
         assert np.all(result.rate_bps[unattached] == 0.0)
         assert np.all(result.rate_bps[~unattached] > 0.0)
+
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_layers_on_one_generator_compose_to_run_once(self, policy):
+        # the call-by-call contract: each layer draws from the generator
+        # the previous one left, in run_once's order
+        cfg = ScenarioConfig()
+        seed = derive_run_seed(5, 24.0, policy, 2)
+        rng = np.random.default_rng(seed)
+        snap = build_snapshot(cfg, 24.0, rng)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+        state = initial_attach(snap, table, policy)
+        state, picks, converged = steady_state(
+            state, snap, table, policy, rng,
+            no_change_window_multiplier=cfg.no_change_window_multiplier,
+            pick_cap_multiplier=cfg.pick_cap_multiplier)
+        rates = realized_rates(state, table)
+        ref = run_once(cfg, 24.0, policy, seed)
+        assert np.array_equal(state.assignment, ref.bs_id)
+        assert np.array_equal(rates, ref.rate_bps)
+        assert picks == ref.convergence_iterations
+        assert converged == ref.converged
 
 
 class TestCampaign:

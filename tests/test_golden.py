@@ -32,6 +32,7 @@ def test_output_matches_golden(tmp_path, name):
     assert cli_bytes(tmp_path, CASES[name]) == (GOLDEN / name).read_bytes()
 
 
-def test_parallel_writes_the_golden_csv(tmp_path):
-    args = [*CASES["per_mmw_bs.csv"], "--parallel", "2"]
-    assert cli_bytes(tmp_path, args) == (GOLDEN / "per_mmw_bs.csv").read_bytes()
+@pytest.mark.parametrize("name", ["per_mmw_bs.csv", "fixed120.jsonl"])
+def test_parallel_writes_the_golden_output(tmp_path, name):
+    args = [*CASES[name], "--parallel", "2"]
+    assert cli_bytes(tmp_path, args) == (GOLDEN / name).read_bytes()

@@ -13,7 +13,7 @@ from v2isim import (
     summarize,
     worst_decile_mean,
 )
-from v2isim.engine import TIER_LTE, TIER_MMWAVE, TIER_NONE
+from v2isim.engine import TIER_LTE, TIER_MMWAVE, TIER_NONE, RunResult
 from v2isim.metrics import RunMetrics, compute_run_metrics
 
 
@@ -21,50 +21,54 @@ def arr(values, dtype=float):
     return np.asarray(values, dtype=dtype)
 
 
+def run_result(class_k, rate_bps, in_region=None, required_rate_bps=None,
+               tier=None, bs_id=None):
+    """A converged MS run at density 4; every vehicle in the region and on
+    LTE station 0 unless given."""
+    n = len(class_k)
+    return RunResult(
+        lambda_m=4.0, policy=Policy.MS, class_k=arr(class_k, int),
+        in_region=arr([True] * n if in_region is None else in_region, bool),
+        required_rate_bps=arr([1e6] * n if required_rate_bps is None
+                              else required_rate_bps),
+        tier=arr([TIER_LTE] * n if tier is None else tier, int),
+        bs_id=arr([0] * n if bs_id is None else bs_id, int),
+        rate_bps=arr(rate_bps), convergence_iterations=10, converged=True)
+
+
 class TestMeanRatePerClass:
     def test_arithmetic_mean(self):
-        rates = arr([2e6, 4e6])
-        classes = arr([1, 1], int)
-        assert mean_rate_per_class(rates, classes, 1) == pytest.approx(3e6)
+        assert mean_rate_per_class(arr([2e6, 4e6])) == pytest.approx(3e6)
 
     def test_all_unattached_is_zero(self):
-        assert mean_rate_per_class(arr([0.0, 0.0]), arr([2, 2], int), 2) == 0.0
+        assert mean_rate_per_class(arr([0.0, 0.0])) == 0.0
 
     def test_other_classes_ignored(self):
-        rates = arr([1e6, 9e9, 3e6])
-        classes = arr([1, 4, 1], int)
-        assert mean_rate_per_class(rates, classes, 1) == pytest.approx(2e6)
+        result = run_result(class_k=[1, 4, 1], rate_bps=[1e6, 9e9, 3e6])
+        assert compute_run_metrics(result).mean_rate_bps[0] == pytest.approx(2e6)
 
     def test_empty_class_is_undefined_not_zero(self):
-        value = mean_rate_per_class(arr([1e6]), arr([1], int), 3)
-        assert math.isnan(value)
+        assert math.isnan(mean_rate_per_class(arr([])))
 
 
 class TestWorstDecileMean:
     def test_ten_values_take_bottom_one(self):
-        rates = arr(range(1, 11))
-        classes = arr([1] * 10, int)
-        assert worst_decile_mean(rates, classes, 1) == 1.0
+        assert worst_decile_mean(arr(range(1, 11))) == 1.0
 
     def test_fifteen_values_take_bottom_two(self):
-        rates = arr(range(15, 0, -1))
-        classes = arr([2] * 15, int)
-        assert worst_decile_mean(rates, classes, 2) == pytest.approx(1.5)
+        assert worst_decile_mean(arr(range(15, 0, -1))) == pytest.approx(1.5)
 
     def test_equal_rates(self):
-        rates = arr([7.0] * 12)
-        classes = arr([3] * 12, int)
-        assert worst_decile_mean(rates, classes, 3) == 7.0
+        assert worst_decile_mean(arr([7.0] * 12)) == 7.0
 
     def test_empty_class_undefined(self):
-        assert math.isnan(worst_decile_mean(arr([]), arr([], int), 1))
+        assert math.isnan(worst_decile_mean(arr([])))
 
     def test_never_above_median_or_mean(self, rng):
         for _ in range(50):
             n = int(rng.integers(1, 60))
             rates = rng.exponential(1e8, size=n)
-            classes = np.ones(n, dtype=int)
-            p10 = worst_decile_mean(rates, classes, 1)
+            p10 = worst_decile_mean(rates)
             assert p10 <= np.median(rates) + 1e-9
             assert p10 <= rates.mean() + 1e-9
 
@@ -116,39 +120,29 @@ class TestLteRatio:
 
 class TestJainIndex:
     def test_equal_rates_give_one(self):
-        rates = arr([5e6] * 7)
-        classes = arr([1] * 7, int)
-        assert jain_index(rates, classes, 1) == pytest.approx(1.0, abs=1e-12)
+        assert jain_index(arr([5e6] * 7)) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_winner_gives_one_over_n(self):
-        rates = arr([1e9, 0, 0, 0])
-        classes = arr([2] * 4, int)
-        assert jain_index(rates, classes, 2) == pytest.approx(0.25, rel=1e-12)
+        assert jain_index(arr([1e9, 0, 0, 0])) == pytest.approx(0.25, rel=1e-12)
 
     def test_two_rates(self):
         # (1+3)^2 / (2 * (1+9)) = 0.8
-        rates = arr([1.0, 3.0])
-        classes = arr([4, 4], int)
-        assert jain_index(rates, classes, 4) == pytest.approx(0.8, rel=1e-12)
+        assert jain_index(arr([1.0, 3.0])) == pytest.approx(0.8, rel=1e-12)
 
     def test_all_zero_undefined(self):
-        assert math.isnan(jain_index(arr([0.0, 0.0]), arr([1, 1], int), 1))
+        assert math.isnan(jain_index(arr([0.0, 0.0])))
 
     def test_scale_invariance(self, rng):
         rates = rng.exponential(1e8, size=25)
-        classes = np.ones(25, dtype=int)
-        j1 = jain_index(rates, classes, 1)
-        j2 = jain_index(rates * 37.5, classes, 1)
-        assert j2 == pytest.approx(j1, rel=1e-12)
+        assert jain_index(rates * 37.5) == pytest.approx(jain_index(rates), rel=1e-12)
 
 
 def metrics_row(p_sat, lambda_m=4.0, policy="MS", p_lte=0.5,
-                mean=1e6, p10=5e5, jain=0.9, converged=True, run_index=0,
+                mean=1e6, jain=0.9, converged=True, run_index=0,
                 class_rates=(5e5, 1.5e6)):
     four = lambda v: (v, v, v, v)
     return RunMetrics(lambda_m=lambda_m, policy_name=policy, p_lte=p_lte,
-                      p_sat=p_sat, mean_rate_bps=four(mean),
-                      p10_bps=four(p10), jain=four(jain),
+                      p_sat=p_sat, mean_rate_bps=four(mean), jain=four(jain),
                       class_rates_bps=four(arr(class_rates)),
                       converged=converged, run_index=run_index)
 
@@ -182,7 +176,7 @@ class TestSummarize:
         rows.append(RunMetrics(lambda_m=4.0, policy_name="MS", p_lte=0.5,
                                p_sat=math.nan,
                                mean_rate_bps=(math.nan,) * 4,
-                               p10_bps=(math.nan,) * 4, jain=(math.nan,) * 4,
+                               jain=(math.nan,) * 4,
                                class_rates_bps=(arr([]),) * 4,
                                converged=True, run_index=2))
         summary = summarize(rows)
@@ -236,17 +230,11 @@ class TestSummarize:
 
 class TestComputeRunMetrics:
     def test_only_in_region_records_counted(self):
-        from v2isim.engine import RunResult
-
-        result = RunResult(
-            lambda_m=4.0, policy=Policy.MS,
-            class_k=arr([1, 1, 4], int),
-            in_region=arr([True, False, True], bool),
-            required_rate_bps=arr([1e6, 1e6, 1.2e9]),
-            tier=arr([TIER_LTE, TIER_MMWAVE, TIER_NONE], int),
-            bs_id=arr([0, 1, -1], int),
-            rate_bps=arr([2e6, 1e9, 0.0]),
-            convergence_iterations=10, converged=True)
+        result = run_result(
+            class_k=[1, 1, 4], in_region=[True, False, True],
+            required_rate_bps=[1e6, 1e6, 1.2e9],
+            tier=[TIER_LTE, TIER_MMWAVE, TIER_NONE], bs_id=[0, 1, -1],
+            rate_bps=[2e6, 1e9, 0.0])
         m = compute_run_metrics(result)
         assert m.p_lte == 0.5  # vehicle 1 is outside the region
         assert m.p_sat == 0.5
@@ -262,5 +250,6 @@ class TestComputeRunMetrics:
             j = m.jain[k]
             if not math.isnan(j):
                 assert 0.0 < j <= 1.0 + 1e-12
-            if not math.isnan(m.p10_bps[k]):
-                assert m.p10_bps[k] <= m.mean_rate_bps[k] + 1e-9
+            p10 = worst_decile_mean(m.class_rates_bps[k])
+            if not math.isnan(p10):
+                assert p10 <= m.mean_rate_bps[k] + 1e-9
