@@ -5,6 +5,11 @@ single-vehicle reassignment until no pick changes anything for a full
 window -> per-vehicle realized rates from the final loads. Runs are fully
 deterministic in their seed; campaign seeds are derived per
 (density, policy, run index) so any cell is reproducible in isolation.
+
+The reassignment loop calls the policy kernel only when the picked vehicle
+will move. The other picks change nothing, so they are counted without a
+kernel call, and the loop returns exactly what a loop evaluating every pick
+would return.
 """
 from __future__ import annotations
 
@@ -91,6 +96,65 @@ def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
     return state
 
 
+def _best_responses(table: LinkTable, policy: Policy, assignment: np.ndarray,
+                    loads: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """What ``POLICY_KERNELS[policy]`` returns for each vehicle in ``rows``
+    at the current loads without that vehicle, computed for all rows at once
+    with the kernels' own float operations: ``unit / (loads_excl + 1.0)``,
+    ``argmax`` with ties to the lowest id and, under RA, the strict
+    ``> required`` test on the best LTE cell."""
+    if table.n_bs == 0:
+        return np.full(rows.size, NO_BS, dtype=np.int64)
+    pick = np.arange(rows.size)
+    if policy is Policy.MS:
+        snr = table.snr_db[rows]
+        best = snr.argmax(axis=1)
+        return np.where(snr[pick, best] < table.snr_threshold_db, NO_BS, best)
+    unit = table.unit_rate_bps[rows]
+    rates = unit / (loads + 1.0)
+    own = assignment[rows]
+    on = np.flatnonzero(own != NO_BS)
+    # without the vehicle its own station is at loads - 1, so loads[own] - 1 + 1.0
+    rates[on, own[on]] = unit[on, own[on]] / loads[own[on]]
+    best = rates.argmax(axis=1)
+    choice = np.where(rates[pick, best] <= 0.0, NO_BS, best)
+    lte = table.lte_indices
+    if policy is Policy.RA and lte.size:
+        lte_rates = rates[:, lte]
+        best_lte = lte_rates.argmax(axis=1)
+        served = lte_rates[pick, best_lte] > table.required_rate_bps[rows]
+        choice = np.where(served, lte[best_lte], choice)
+    return choice
+
+
+def _unsettled(table: LinkTable, policy: Policy, assignment: np.ndarray,
+               loads: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Mask of the vehicles whose choice may differ after one vehicle moved
+    from station ``a`` to ``b`` (``loads`` already updated).
+
+    MS ignores loads, so nobody. Otherwise every vehicle on ``b``, which
+    lost rate, and every vehicle off ``a`` for which ``a`` at its new load
+    rates at least as high as its own station; under RA also those for
+    which LTE cell ``a`` now beats the required rate. A vehicle on ``a``
+    only gained, and no other station changed.
+    """
+    m = assignment.size
+    if policy is Policy.MS:
+        return np.zeros(m, dtype=bool)
+    unsettled = assignment == b if b != NO_BS else np.zeros(m, dtype=bool)
+    if a != NO_BS:
+        unit = table.unit_rate_bps
+        at_a = unit[:, a] / (loads[a] + 1.0)
+        on = np.flatnonzero(assignment != NO_BS)
+        current = np.zeros(m)
+        current[on] = unit[on, assignment[on]] / loads[assignment[on]]
+        drawn = (at_a >= current) & (at_a > 0.0)
+        if policy is Policy.RA and table.is_lte[a]:
+            drawn |= at_a > table.required_rate_bps
+        unsettled |= drawn & (assignment != a)
+    return unsettled
+
+
 def steady_state(state: AssociationState, snapshot: Snapshot | None,
                  link_table: LinkTable, policy: Policy,
                  rng: np.random.Generator, *,
@@ -103,6 +167,18 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     Terminates once no pick has changed any assignment for
     ceil(window_multiplier * M) consecutive picks, or at the hard cap of
     ceil(cap_multiplier * M) total picks. Returns (state, picks, converged).
+
+    Only a pick of a vehicle that will move calls the policy kernel. A
+    ``dirty`` mask holds the vehicles whose choice differs from their
+    station; after each move the dirty vehicles and those the move may
+    have unsettled are re-evaluated at once. A clean pick counts toward
+    ``picks`` and the no-change streak without a kernel call. Picks are
+    drawn in the same blocks from the same generator as a loop that
+    evaluates every pick, so the result is the same. Once no vehicle is
+    dirty, every further pick would change nothing and the remaining count
+    is added without drawing: MS, whose choice ignores loads, returns
+    min(window, cap) picks straight after the initial attach, without a
+    loop.
     """
     m = link_table.n_vn
     if m == 0:
@@ -111,13 +187,29 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     cap = max(1, math.ceil(pick_cap_multiplier * m))
     kernel = POLICY_KERNELS[policy]
     assignment, loads = state.assignment, state.loads
+    dirty = _best_responses(link_table, policy, assignment, loads,
+                            np.arange(m)) != assignment
     picks = 0
     streak = 0
-    converged = False
-    while picks < cap and not converged:
+    while picks < cap and streak < window:
+        if not dirty.any():
+            # no vehicle can move: count the remaining picks without drawing
+            rest = min(cap - picks, window - streak)
+            picks += rest
+            streak += rest
+            break
         batch = rng.integers(0, m, size=min(_PICK_BATCH, cap - picks))
-        for vn in batch:
-            vn = int(vn)
+        done = 0
+        while streak < window:
+            ahead = np.flatnonzero(dirty[batch[done:]])
+            if ahead.size == 0 or streak + ahead[0] >= window:
+                break
+            # the picks before the next dirty one change nothing
+            clean = int(ahead[0])
+            vn = int(batch[done + clean])
+            picks += clean + 1
+            streak += clean
+            done += clean + 1
             old = assignment[vn]
             if old != NO_BS:
                 loads[old] -= 1
@@ -125,17 +217,21 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
             assignment[vn] = new
             if new != NO_BS:
                 loads[new] += 1
-            picks += 1
+            dirty[vn] = False
             if new == old:
                 streak += 1
-                if streak >= window:
-                    converged = True
-                    break
             else:
                 streak = 0
+                recheck = np.flatnonzero(
+                    dirty | _unsettled(link_table, policy, assignment, loads, old, new))
+                dirty[recheck] = _best_responses(
+                    link_table, policy, assignment, loads, recheck) != assignment[recheck]
+        rest = min(batch.size - done, window - streak)
+        picks += rest
+        streak += rest
     if __debug__:
         state.check()
-    return state, picks, converged
+    return state, picks, streak >= window
 
 
 def realized_rates(state: AssociationState, link_table: LinkTable) -> np.ndarray:

@@ -1,13 +1,20 @@
 """Independent reference implementations used to cross-check the engine.
 
-Everything here is pure-Python (math module, no numpy vector paths) and
-re-derives rates from first principles, so it shares no code with the
-package internals it verifies. Arithmetic follows the documented order
-(unit rate at load 1, divided by the post-join load) so exact float
+The best-response oracles are pure Python (math module, no numpy vector
+paths) and re-derive rates from first principles, so they share no code
+with the package internals they verify. Arithmetic follows the documented
+order (unit rate at load 1, divided by the post-join load) so exact float
 comparison against the engine is meaningful.
+
+``reference_steady_state`` is the engine's randomized best-response loop in
+its plain form, one policy-kernel call per pick; the engine's loop must
+return exactly what it returns.
 """
 import itertools
 import math
+
+from v2isim import NO_BS, POLICY_KERNELS
+from v2isim.engine import _PICK_BATCH
 
 NONE = -1
 
@@ -95,3 +102,47 @@ def find_fixed_point(policy_name, instance):
         if is_fixed_point(policy_name, instance, list(assignment)):
             return list(assignment)
     return None
+
+
+def reference_steady_state(state, snapshot, link_table, policy, rng, *,
+                           no_change_window_multiplier=3.0,
+                           pick_cap_multiplier=50.0):
+    """Randomized best-response loop: pick a uniform vehicle, detach it,
+    re-run the policy, re-insert.
+
+    Terminates once no pick has changed any assignment for
+    ceil(window_multiplier * M) consecutive picks, or at the hard cap of
+    ceil(cap_multiplier * M) total picks. Returns (state, picks, converged).
+    """
+    m = link_table.n_vn
+    if m == 0:
+        return state, 0, True
+    window = max(1, math.ceil(no_change_window_multiplier * m))
+    cap = max(1, math.ceil(pick_cap_multiplier * m))
+    kernel = POLICY_KERNELS[policy]
+    assignment, loads = state.assignment, state.loads
+    picks = 0
+    streak = 0
+    converged = False
+    while picks < cap and not converged:
+        batch = rng.integers(0, m, size=min(_PICK_BATCH, cap - picks))
+        for vn in batch:
+            vn = int(vn)
+            old = assignment[vn]
+            if old != NO_BS:
+                loads[old] -= 1
+            new = kernel(link_table, vn, loads)
+            assignment[vn] = new
+            if new != NO_BS:
+                loads[new] += 1
+            picks += 1
+            if new == old:
+                streak += 1
+                if streak >= window:
+                    converged = True
+                    break
+            else:
+                streak = 0
+    if __debug__:
+        state.check()
+    return state, picks, converged

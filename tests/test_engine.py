@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from v2isim import (
+    POLICY_KERNELS,
+    AssociationState,
     Policy,
     ScenarioConfig,
     build_link_table,
@@ -13,8 +17,67 @@ from v2isim import (
     run_once,
     steady_state,
 )
+from v2isim.engine import _best_responses
 from conftest import make_table
 import oracles
+
+PROPERTY_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow])
+
+# a coarse SNR grid makes exact rate ties common; -5 dB is the outage
+# threshold itself (in service), -30 dB is in outage
+SNR_GRID = [-30.0, -5.0, 0.0, 10.0, 20.0]
+
+
+@st.composite
+def micro_tables(draw):
+    """Small link tables with exact ties: LTE-less, LTE-only or mixed, some
+    rows fully in outage, possibly no station at all, and required rates
+    that can equal an LTE post-join rate exactly."""
+    n_vn = draw(st.integers(1, 7))
+    n_bs = draw(st.integers(0, 4))
+    mixed = draw(st.lists(st.booleans(), min_size=n_bs, max_size=n_bs))
+    is_lte = draw(st.sampled_from([[False] * n_bs, [True] * n_bs, mixed]))
+    bw = [20e6 if lte else draw(st.sampled_from([20e6, 1e9])) for lte in is_lte]
+    snr = np.array(draw(st.lists(
+        st.lists(st.sampled_from(SNR_GRID), min_size=n_bs, max_size=n_bs),
+        min_size=n_vn, max_size=n_vn)), dtype=float).reshape(n_vn, n_bs)
+    for vn in draw(st.sets(st.integers(0, n_vn - 1))):
+        snr[vn] = -30.0
+    table = make_table(snr, bw, is_lte)
+    lte = [j for j in range(n_bs) if is_lte[j]]
+    required = []
+    for vn in range(n_vn):
+        if lte and draw(st.booleans()):
+            j = draw(st.sampled_from(lte))
+            required.append(table.unit_rate_bps[vn, j] / draw(st.integers(1, 4)))
+        else:
+            required.append(draw(st.sampled_from([0.0, 5e6, 1.2e9])))
+    return make_table(snr, bw, is_lte, required)
+
+
+@st.composite
+def states(draw, table, policy):
+    """The initial attach, or any assignment with its loads."""
+    if draw(st.booleans()):
+        return initial_attach(None, table, policy)
+    assignment = np.array(draw(st.lists(
+        st.integers(-1, table.n_bs - 1), min_size=table.n_vn,
+        max_size=table.n_vn)), dtype=np.int64)
+    loads = np.bincount(assignment[assignment >= 0], minlength=table.n_bs)
+    return AssociationState(assignment, loads.astype(np.int64))
+
+
+def assert_same_as_reference(table, policy, state, seed, **multipliers):
+    ref = AssociationState(state.assignment.copy(), state.loads.copy())
+    got, picks, converged = steady_state(
+        state, None, table, policy, np.random.default_rng(seed), **multipliers)
+    want, ref_picks, ref_converged = oracles.reference_steady_state(
+        ref, None, table, policy, np.random.default_rng(seed), **multipliers)
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.loads, want.loads)
+    assert (picks, converged) == (ref_picks, ref_converged)
 
 
 def run_engine(table, policy, seed=0, window=50.0, cap=400.0):
@@ -118,6 +181,68 @@ class TestSteadyState:
             state, None, table, Policy.MR, np.random.default_rng(0))
         assert converged and picks == 0
 
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)),
+           window=st.floats(0.1, 8.0), cap=st.floats(0.1, 30.0),
+           seed=st.integers(0, 2**32))
+    def test_equals_reference_loop_on_micro_instances(self, data, policy,
+                                                      window, cap, seed):
+        table = data.draw(micro_tables())
+        state = data.draw(states(table, policy))
+        assert_same_as_reference(table, policy, state, seed,
+                                 no_change_window_multiplier=window,
+                                 pick_cap_multiplier=cap)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_station_freed_to_an_exact_tie_draws_back(self, seed):
+        # vehicle 0 is in outage but starts on station 0; vehicle 1 sees two
+        # identical stations. If vehicle 1 moves to station 1 before vehicle
+        # 0 leaves, station 0 then offers it exactly its current rate, and
+        # the tie goes back to the lower id
+        table = make_table([[-30.0, -30.0], [10.0, 10.0]], [1e9, 1e9],
+                           [False, False])
+        state = AssociationState(np.array([0, 0]), np.array([2, 0]))
+        assert_same_as_reference(table, Policy.MR, state, seed,
+                                 no_change_window_multiplier=20.0)
+        assert list(state.assignment) == [-1, 0]
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("lam", [4.0, 40.0, 80.0])
+    @settings(max_examples=2, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_equals_reference_loop_on_snapshots(self, lam, policy, seed):
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(seed)
+        snap = build_snapshot(cfg, lam, rng)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+        assert_same_as_reference(table, policy, initial_attach(snap, table, policy),
+                                 seed + 1)
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_kernel_runs_only_for_vehicles_that_move(self, monkeypatch,
+                                                     policy):
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(derive_run_seed(1, 40.0, policy, 0))
+        snap = build_snapshot(cfg, 40.0, rng)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+        state = initial_attach(snap, table, policy)
+        kernel, moved = POLICY_KERNELS[policy], []
+
+        def counted(table, vn, loads):
+            choice = kernel(table, vn, loads)
+            moved.append(choice != state.assignment[vn])
+            return choice
+
+        monkeypatch.setitem(POLICY_KERNELS, policy, counted)
+        _, picks, converged = steady_state(state, snap, table, policy, rng)
+        assert converged and picks >= 3 * table.n_vn
+        if policy is Policy.MS:
+            assert not moved
+            assert picks == 3 * table.n_vn
+        else:
+            assert 0 < len(moved) < 0.1 * picks
+            assert all(moved)  # the dirty mask is exact: every call moves
+
     def test_load_consistency_after_dynamics(self, rng):
         for _ in range(20):
             n_vn = int(rng.integers(1, 30))
@@ -127,6 +252,26 @@ class TestSteadyState:
             state, _, _ = run_engine(table, Policy.MR, seed=3)
             state.check()
             assert int(state.loads.sum()) + int(np.sum(state.assignment == -1)) == n_vn
+
+
+class TestBestResponses:
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)))
+    def test_equals_kernel_row_by_row(self, data, policy):
+        table = data.draw(micro_tables())
+        state = data.draw(states(table, policy))
+        # other vehicles' load on top, so post-join loads above 1 appear
+        extra = np.array(data.draw(st.lists(
+            st.integers(0, 3), min_size=table.n_bs, max_size=table.n_bs)),
+            dtype=np.int64)
+        loads = state.loads + extra
+        got = _best_responses(table, policy, state.assignment, loads,
+                              np.arange(table.n_vn))
+        for vn, own in enumerate(state.assignment):
+            without = loads.copy()
+            if own >= 0:
+                without[own] -= 1
+            assert got[vn] == POLICY_KERNELS[policy](table, vn, without)
 
 
 class TestRunOnce:
