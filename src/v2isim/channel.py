@@ -2,10 +2,12 @@
 SNR and the load-dependent Shannon rate, assembled per snapshot into an
 immutable link table.
 
-The table is a set of (vehicle, station) matrices built in one pass over
+The table holds what the attachment rules read: the (vehicle, station)
+matrices of SNR and of the rate at load 1, built in one pass per tier over
 the snapshot's arrays. A tier has one carrier and one radio, so transmit
-power, bandwidth, carrier and array size are the tier's ``ChannelParams``
-entries; only the LOS state and the distances vary per link.
+power, bandwidth, carrier and gain are scalars taken from the tier's
+``ChannelParams`` entries; only the LOS state and the distances vary per
+link, and neither is kept once the SNR is known.
 """
 from __future__ import annotations
 
@@ -119,40 +121,30 @@ def achievable_rate(snr_value_db: float, bandwidth_hz: float, load_m: int,
 
 
 class LinkTable:
-    """Per-snapshot matrix of realized links, frozen after construction.
+    """Per-snapshot matrices of what the attachment rules read, frozen after
+    construction.
 
     Rows are vehicles, columns base stations. unit_rate_bps holds the
-    achievable rate at load 1, so the rate at load m is unit_rate_bps / m.
+    achievable rate at load 1, so the rate at load m is unit_rate_bps / m;
+    it is 0 where the link is in outage.
     """
 
     def __init__(self, snr: np.ndarray, bandwidth_hz: np.ndarray,
                  is_lte: np.ndarray, required_rate_bps: np.ndarray,
-                 snr_threshold_db: float = DEFAULT_SNR_THRESHOLD_DB,
-                 los: np.ndarray | None = None,
-                 path_loss_db: np.ndarray | None = None,
-                 gain: np.ndarray | None = None):
+                 snr_threshold_db: float = DEFAULT_SNR_THRESHOLD_DB):
         snr = np.asarray(snr, dtype=float)
-        n_vn, n_bs = snr.shape
-        self.n_vn = n_vn
-        self.n_bs = n_bs
+        self.n_vn, self.n_bs = snr.shape
         self.snr_db = snr
-        self.bandwidth_hz = np.asarray(bandwidth_hz, dtype=float)
         self.is_lte = np.asarray(is_lte, dtype=bool)
         self.required_rate_bps = np.asarray(required_rate_bps, dtype=float)
         self.snr_threshold_db = float(snr_threshold_db)
-        self.los = los if los is not None else np.ones_like(snr, dtype=bool)
-        self.path_loss_db = (path_loss_db if path_loss_db is not None
-                             else np.zeros_like(snr))
-        self.gain = gain if gain is not None else np.ones_like(snr)
-        self.in_outage = snr < self.snr_threshold_db
+        bandwidth = np.asarray(bandwidth_hz, dtype=float)
         with np.errstate(over="ignore"):
-            unit = self.bandwidth_hz[None, :] * np.log2(1.0 + 10.0 ** (snr / 10.0))
-        self.unit_rate_bps = np.where(self.in_outage, 0.0, unit)
+            unit = bandwidth[None, :] * np.log2(1.0 + 10.0 ** (snr / 10.0))
+        self.unit_rate_bps = np.where(snr < self.snr_threshold_db, 0.0, unit)
         self.lte_indices = np.flatnonzero(self.is_lte)
-        for arr in (self.snr_db, self.bandwidth_hz, self.is_lte,
-                    self.required_rate_bps, self.los, self.path_loss_db,
-                    self.gain, self.in_outage, self.unit_rate_bps,
-                    self.lte_indices):
+        for arr in (self.snr_db, self.is_lte, self.required_rate_bps,
+                    self.unit_rate_bps, self.lte_indices):
             arr.setflags(write=False)
 
 
@@ -162,33 +154,28 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
     """Realize every (vehicle, base station) link of one snapshot.
 
     LOS states are Bernoulli draws against the tier's distance-dependent
-    probability, one uniform per link, taken once here and never
-    resampled.
+    probability, one uniform per link drawn for the whole table in row
+    order, taken once here and never resampled. Each tier's SNR is then
+    written into its columns of one matrix; the LOS states and path losses
+    are not kept.
     """
     p = params or ChannelParams()
     vn, bs = snapshot.vn_xy, snapshot.bs_xy
-    lte = snapshot.is_lte
-    mmw = ~lte
     d2d = np.hypot(vn[:, 0, None] - bs[None, :, 0], vn[:, 1, None] - bs[None, :, 1])
-    d3d = np.maximum(np.hypot(d2d, p.vn_height_m - p.bs_height_m), p.min_distance_m)
-
-    p_los = np.empty(d2d.shape)
-    p_los[:, lte] = los_probability_lte(d2d[:, lte] / 1000.0)
-    p_los[:, mmw] = los_probability_mmw(d2d[:, mmw])
-    if p.los_probability_override is not None:
-        p_los.fill(p.los_probability_override)
-    los = rng.random(size=d2d.shape) < p_los
-
-    pl = np.empty(d2d.shape)
-    gain = np.empty(d2d.shape)
-    tx = np.empty(len(bs))
-    bandwidth = np.empty(len(bs))
-    for tier, radio, cols in ((Tier.LTE, p.lte, lte), (Tier.MMWAVE, p.mmw, mmw)):
-        pl[:, cols] = path_loss(tier, los[:, cols], d3d[:, cols], radio.carrier_hz, p)
-        gain[:, cols] = cumulative_gain(tier, radio.array_elements, p.vn_array_elements)
-        tx[cols] = radio.tx_power_dbm
-        bandwidth[cols] = radio.bandwidth_hz
-
-    snr = snr_db(tx[None, :], gain, pl, bandwidth[None, :], p.noise_psd_dbm_per_hz)
-    return LinkTable(snr, bandwidth, lte, snapshot.required_rate_bps, snr_threshold_db,
-                     los=los, path_loss_db=pl, gain=gain)
+    uniform = rng.random(size=d2d.shape)
+    snr = np.empty(d2d.shape)
+    n_lte = snapshot.n_lte
+    for tier, radio, cols, los_probability in (
+            (Tier.LTE, p.lte, slice(None, n_lte), lambda d: los_probability_lte(d / 1000.0)),
+            (Tier.MMWAVE, p.mmw, slice(n_lte, None), los_probability_mmw)):
+        d = d2d[:, cols]
+        p_los = (los_probability(d) if p.los_probability_override is None
+                 else p.los_probability_override)
+        pl = path_loss(tier, uniform[:, cols] < p_los,
+                       np.hypot(d, p.vn_height_m - p.bs_height_m), radio.carrier_hz, p)
+        gain = cumulative_gain(tier, radio.array_elements, p.vn_array_elements)
+        snr[:, cols] = snr_db(radio.tx_power_dbm, gain, pl, radio.bandwidth_hz,
+                              p.noise_psd_dbm_per_hz)
+    lte = snapshot.is_lte
+    bandwidth = np.where(lte, p.lte.bandwidth_hz, p.mmw.bandwidth_hz)
+    return LinkTable(snr, bandwidth, lte, snapshot.required_rate_bps, snr_threshold_db)

@@ -11,7 +11,7 @@ import math
 import os
 import types
 from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import IO, Any, Union, get_args, get_origin, get_type_hints
+from typing import IO, Any, Iterator, Union, get_args, get_origin, get_type_hints
 
 POLICY_NAMES = ("MS", "MR", "RA")
 N_CLASSES = 4
@@ -197,11 +197,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
              "class_probabilities: must sum to 1 within 1e-9")
     _require(cfg.no_change_window_multiplier > 0, "no_change_window_multiplier: must be > 0")
     _require(cfg.pick_cap_multiplier > 0, "pick_cap_multiplier: must be > 0")
-    region = cfg.resolved_measurement_region()
-    x_min, x_max, y_min, y_max = region
-    side = cfg.area_side_m
-    _require(0 <= x_min < x_max <= side and 0 <= y_min < y_max <= side,
-             "measurement_region_m: must be a non-empty rectangle inside the area")
+    if math.isfinite(cfg.area_km2):  # an infinite area is named below
+        x_min, x_max, y_min, y_max = cfg.resolved_measurement_region()
+        side = cfg.area_side_m
+        _require(0 <= x_min < x_max <= side and 0 <= y_min < y_max <= side,
+                 "measurement_region_m: must be a non-empty rectangle inside the area")
     ch = cfg.channel
     _require(ch.lte.bandwidth_hz > 0 and ch.mmw.bandwidth_hz > 0,
              "channel.*.bandwidth_hz: must be > 0")
@@ -216,6 +216,21 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if ch.los_probability_override is not None:
         _require(0.0 <= ch.los_probability_override <= 1.0,
                  "channel.los_probability_override: must lie in [0, 1]")
+    for key, value in _float_leaves(cfg):
+        _require(math.isfinite(value), f"{key}: must be finite")
+
+
+def _float_leaves(obj: Any, prefix: str = "") -> Iterator[tuple[str, float]]:
+    """(dotted key, value) of every float of a config, tuple entries included."""
+    for f in fields(obj):
+        key, value = prefix + f.name, getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from _float_leaves(value, key + ".")
+        elif isinstance(value, tuple):
+            yield from ((f"{key}[{i}]", v) for i, v in enumerate(value)
+                        if isinstance(v, float))
+        elif isinstance(value, float):
+            yield key, value
 
 
 def load_config(source: str | os.PathLike[str] | IO[str]) -> ScenarioConfig:

@@ -9,7 +9,8 @@ deterministic in their seed; campaign seeds are derived per
 The reassignment loop calls the policy kernel only when the picked vehicle
 will move. The other picks change nothing, so they are counted without a
 kernel call, and the loop returns exactly what a loop evaluating every pick
-would return.
+would return. Under MS, whose choice ignores loads, the greedy initial
+attachment is one vectorized argmax.
 """
 from __future__ import annotations
 
@@ -82,15 +83,25 @@ class RunResult:
 def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
                    policy: Policy) -> AssociationState:
     """Greedy first pass: vehicles attach in ascending id order, each seeing
-    the loads accumulated so far."""
+    the loads accumulated so far.
+
+    MS ignores loads, so its pass is one argmax of ``snr_db`` over all rows
+    and one count of the loads, with no kernel call; MR and RA call the
+    policy kernel once per vehicle."""
     state = AssociationState.empty(link_table.n_vn, link_table.n_bs)
-    kernel = POLICY_KERNELS[policy]
     assignment, loads = state.assignment, state.loads
-    for vn in range(link_table.n_vn):
-        bs = kernel(link_table, vn, loads)
-        assignment[vn] = bs
-        if bs != NO_BS:
-            loads[bs] += 1
+    if policy is Policy.MS:
+        assignment[:] = _best_responses(link_table, policy, assignment, loads,
+                                        np.arange(link_table.n_vn))
+        loads[:] = np.bincount(assignment[assignment != NO_BS],
+                               minlength=link_table.n_bs)
+    else:
+        kernel = POLICY_KERNELS[policy]
+        for vn in range(link_table.n_vn):
+            bs = kernel(link_table, vn, loads)
+            assignment[vn] = bs
+            if bs != NO_BS:
+                loads[bs] += 1
     if __debug__:
         state.check()
     return state

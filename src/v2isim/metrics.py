@@ -110,8 +110,8 @@ class CellSummary:
 
     ``p10_bps[k]`` is the worst-decile mean of the class-(k+1) rates of all
     runs pooled (NaN when no run has a class-(k+1) vehicle). Every other
-    figure is the average of the per-run values, with its standard error
-    (NaN when fewer than two defined runs).
+    figure is the average of the defined per-run values (NaN when no run
+    defines it).
     """
 
     lambda_m: float
@@ -119,32 +119,23 @@ class CellSummary:
     run_count: int
     nonconverged_runs: int
     p_lte: float
-    p_lte_se: float
     p_sat: float
-    p_sat_se: float
     mean_rate_bps: tuple[float, ...]
-    mean_rate_se_bps: tuple[float, ...]
     p10_bps: tuple[float, ...]
     jain: tuple[float, ...]
-    jain_se: tuple[float, ...]
 
 
-def _nan_mean_se(values: list[float]) -> tuple[float, float]:
+def _nan_mean(values: list[float]) -> float:
+    """Mean of the values that are not NaN; NaN when none is."""
     values = np.array(values)
     defined = values[~np.isnan(values)]
-    if defined.size == 0:
-        return math.nan, math.nan
-    mean = float(defined.mean())
-    if defined.size < 2:
-        return mean, math.nan
-    se = float(defined.std(ddof=1) / math.sqrt(defined.size))
-    return mean, se
+    return float(defined.mean()) if defined.size else math.nan
 
 
 def summarize(run_metrics) -> CellSummary:
     """Aggregate the runs of one cell: per-run figures are averaged with
-    undefined markers skipped (standard error = sample stdev / sqrt(defined
-    runs)); the worst-decile figure is taken over the pooled rates."""
+    undefined markers skipped; the worst-decile figure is taken over the
+    pooled rates."""
     rows = sorted(run_metrics,
                   key=lambda r: (r.run_index if r.run_index is not None else 0))
     if not rows:
@@ -153,22 +144,16 @@ def summarize(run_metrics) -> CellSummary:
     if any(r.lambda_m != first.lambda_m or r.policy_name != first.policy_name
            for r in rows):
         raise ValueError("summarize expects runs from a single cell")
-    p_lte, p_lte_se = _nan_mean_se([r.p_lte for r in rows])
-    p_sat, p_sat_se = _nan_mean_se([r.p_sat for r in rows])
-    mean_rate, mean_rate_se = zip(*(_nan_mean_se([r.mean_rate_bps[k] for r in rows])
-                                    for k in range(N_CLASSES)))
-    jain, jain_se = zip(*(_nan_mean_se([r.jain[k] for r in rows])
-                          for k in range(N_CLASSES)))
-    p10 = tuple(worst_decile_mean(np.concatenate([r.class_rates_bps[k] for r in rows]))
-                for k in range(N_CLASSES))
     return CellSummary(
         lambda_m=first.lambda_m,
         policy_name=first.policy_name,
         run_count=len(rows),
         nonconverged_runs=sum(1 for r in rows if not r.converged),
-        p_lte=p_lte, p_lte_se=p_lte_se,
-        p_sat=p_sat, p_sat_se=p_sat_se,
-        mean_rate_bps=mean_rate, mean_rate_se_bps=mean_rate_se,
-        p10_bps=p10,
-        jain=jain, jain_se=jain_se,
+        p_lte=_nan_mean([r.p_lte for r in rows]),
+        p_sat=_nan_mean([r.p_sat for r in rows]),
+        mean_rate_bps=tuple(_nan_mean([r.mean_rate_bps[k] for r in rows])
+                            for k in range(N_CLASSES)),
+        p10_bps=tuple(worst_decile_mean(np.concatenate([r.class_rates_bps[k] for r in rows]))
+                      for k in range(N_CLASSES)),
+        jain=tuple(_nan_mean([r.jain[k] for r in rows]) for k in range(N_CLASSES)),
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from v2isim import LinkTable
+from v2isim import LinkTable, Tier, cumulative_gain, path_loss, snr_db
 
 
 def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,
@@ -15,6 +15,24 @@ def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,
                      np.asarray(is_lte, dtype=bool),
                      np.asarray(required_rate_bps, dtype=float),
                      snr_threshold_db)
+
+
+def los_snr_db(snapshot, params, unit_gain=False) -> np.ndarray:
+    """SNR of every (vehicle, station) link of ``snapshot`` as if in LOS,
+    recomputed from the snapshot's distances through ``path_loss``,
+    ``cumulative_gain`` (or gain 1 with ``unit_gain``) and ``snr_db``."""
+    vn, bs = snapshot.vn_xy, snapshot.bs_xy
+    d2d = np.hypot(vn[:, 0, None] - bs[None, :, 0], vn[:, 1, None] - bs[None, :, 1])
+    d3d = np.hypot(d2d, params.vn_height_m - params.bs_height_m)
+    out = np.empty(d2d.shape)
+    lte = snapshot.is_lte
+    for tier, radio, cols in ((Tier.LTE, params.lte, lte), (Tier.MMWAVE, params.mmw, ~lte)):
+        gain = 1.0 if unit_gain else cumulative_gain(
+            tier, radio.array_elements, params.vn_array_elements)
+        pl = path_loss(tier, True, d3d[:, cols], radio.carrier_hz, params)
+        out[:, cols] = snr_db(radio.tx_power_dbm, gain, pl, radio.bandwidth_hz,
+                              params.noise_psd_dbm_per_hz)
+    return out
 
 
 @pytest.fixture

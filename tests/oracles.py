@@ -6,14 +6,17 @@ with the package internals they verify. Arithmetic follows the documented
 order (unit rate at load 1, divided by the post-join load) so exact float
 comparison against the engine is meaningful.
 
-``reference_steady_state`` is the engine's randomized best-response loop in
-its plain form, one policy-kernel call per pick; the engine's loop must
-return exactly what it returns.
+``reference_initial_attach`` and ``reference_steady_state`` are the
+engine's greedy first pass and randomized best-response loop in their plain
+form, one policy-kernel call per vehicle or pick; the engine must return
+exactly what they return.
 """
 import itertools
 import math
 
-from v2isim import NO_BS, POLICY_KERNELS
+import numpy as np
+
+from v2isim import NO_BS, POLICY_KERNELS, AssociationState
 from v2isim.engine import _PICK_BATCH
 
 NONE = -1
@@ -102,6 +105,20 @@ def find_fixed_point(policy_name, instance):
         if is_fixed_point(policy_name, instance, list(assignment)):
             return list(assignment)
     return None
+
+
+def reference_initial_attach(link_table, policy):
+    """Greedy first pass: vehicles attach in ascending id order, each seeing
+    the loads accumulated so far."""
+    assignment = np.full(link_table.n_vn, NO_BS, dtype=np.int64)
+    loads = np.zeros(link_table.n_bs, dtype=np.int64)
+    kernel = POLICY_KERNELS[policy]
+    for vn in range(link_table.n_vn):
+        bs = kernel(link_table, vn, loads)
+        assignment[vn] = bs
+        if bs != NO_BS:
+            loads[bs] += 1
+    return AssociationState(assignment, loads)
 
 
 def reference_steady_state(state, snapshot, link_table, policy, rng, *,

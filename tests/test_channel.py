@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from v2isim import (
     path_loss,
     snr_db,
 )
-from conftest import make_table
+from conftest import los_snr_db, make_table
 
 
 class TestLosProbability:
@@ -171,30 +172,79 @@ class TestLinkTable:
         cfg = ScenarioConfig()
 
         def build():
-            return build_link_table(
-                build_snapshot(cfg, 8.0, np.random.default_rng(7)),
-                np.random.default_rng(8), cfg.channel)
+            snap = build_snapshot(cfg, 8.0, np.random.default_rng(7))
+            rng = np.random.default_rng(8)
+            table = build_link_table(snap, rng, cfg.channel)
+            # the links drawn in LOS, read off the SNR against the LOS budget
+            los = table.snr_db == los_snr_db(snap, cfg.channel)
+            return table, los, rng.bit_generator.state
 
-        a, b = build(), build()
+        (a, los_a, state_a), (b, los_b, state_b) = build(), build()
         assert np.array_equal(a.snr_db, b.snr_db)
-        assert np.array_equal(a.los, b.los)
+        assert np.array_equal(los_a, los_b) and los_a.any()
+        assert state_a == state_b
 
     def test_forced_los_hook(self, rng):
+        # every link in LOS: each SNR is the LOS link budget of its distance
         cfg = ScenarioConfig(
             channel=ChannelParams(los_probability_override=1.0))
         snap = build_snapshot(cfg, 20.0, rng)
         table = build_link_table(snap, rng, cfg.channel)
-        assert table.los.all()
+        assert table.n_vn and table.n_bs
+        assert np.array_equal(table.snr_db, los_snr_db(snap, cfg.channel))
 
     def test_gains_by_tier(self, rng):
-        cfg = ScenarioConfig()
+        # with every link in LOS the SNR above the unit-gain budget is the
+        # antenna gain: 0 dB on LTE, 10*log10(64*16) dB on mmWave
+        cfg = ScenarioConfig(
+            channel=ChannelParams(los_probability_override=1.0))
         snap = build_snapshot(cfg, 8.0, rng)
         table = build_link_table(snap, rng, cfg.channel)
+        gain_db = table.snr_db - los_snr_db(snap, cfg.channel, unit_gain=True)
         if table.lte_indices.size:
-            assert np.all(table.gain[:, table.is_lte] == 1.0)
+            assert np.allclose(gain_db[:, table.is_lte], 0.0, rtol=0, atol=1e-9)
         mmw = ~table.is_lte
         if mmw.any() and table.n_vn:
-            assert np.all(table.gain[:, mmw] == 1024.0)
+            assert np.allclose(gain_db[:, mmw], 10.0 * math.log10(1024.0),
+                               rtol=0, atol=1e-9)
+
+    def test_mmw_array_size_moves_only_mmw_snr(self):
+        # the same seeds with 64 and then 16 mmWave base-station elements
+        def build(elements):
+            cfg = ScenarioConfig(channel=ChannelParams(
+                mmw=replace(ChannelParams().mmw, array_elements=elements)))
+            rng = np.random.default_rng(21)
+            return build_link_table(build_snapshot(cfg, 40.0, rng), rng, cfg.channel)
+
+        big, small = build(64), build(16)
+        lte = big.is_lte
+        assert lte.any() and (~lte).any() and big.n_vn
+        assert np.array_equal(big.snr_db[:, lte], small.snr_db[:, lte])
+        assert np.allclose(big.snr_db[:, ~lte] - small.snr_db[:, ~lte],
+                           10.0 * math.log10(4.0), rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("lam", [4.0, 40.0, 80.0])
+    def test_unit_rate_is_tier_bandwidth_times_spectral_efficiency(self, lam):
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(int(lam))
+        table = build_link_table(build_snapshot(cfg, lam, rng), rng, cfg.channel)
+        bandwidth = np.where(table.is_lte, cfg.channel.lte.bandwidth_hz,
+                             cfg.channel.mmw.bandwidth_hz)
+        served = table.snr_db >= table.snr_threshold_db
+        assert served.any() and (~served).any()
+        ratio = table.unit_rate_bps / np.log2(1.0 + 10.0 ** (table.snr_db / 10.0))
+        assert np.allclose(ratio[served], np.broadcast_to(bandwidth, served.shape)[served],
+                           rtol=1e-12, atol=0)
+        # in outage the rate is exactly 0, in service it is positive
+        assert np.all(table.unit_rate_bps[~served] == 0.0)
+        assert np.all(table.unit_rate_bps[served] > 0.0)
+
+    def test_holds_only_what_the_rules_read(self, rng):
+        cfg = ScenarioConfig()
+        table = build_link_table(build_snapshot(cfg, 8.0, rng), rng, cfg.channel)
+        assert set(vars(table)) == {
+            "n_vn", "n_bs", "snr_db", "unit_rate_bps", "is_lte", "lte_indices",
+            "required_rate_bps", "snr_threshold_db"}
 
     def test_snr_non_increasing_with_distance_fixed_los(self):
         d = np.linspace(30.0, 2000.0, 300)
@@ -208,7 +258,10 @@ class TestLinkTable:
 
     def test_outage_flag_matches_threshold(self):
         table = make_table([[-5.0, -5.001, 3.0]], [1e9] * 3, [False] * 3)
-        assert list(table.in_outage[0]) == [False, True, False]
+        in_outage = [achievable_rate(s, 1e9, 1, table.snr_threshold_db) == 0.0
+                     for s in table.snr_db[0]]
+        assert in_outage == [False, True, False]
+        assert list(table.unit_rate_bps[0] == 0.0) == in_outage
         assert table.unit_rate_bps[0, 1] == 0.0
 
     def test_unit_rate_matches_scalar_contract(self, rng):
@@ -217,9 +270,9 @@ class TestLinkTable:
         table = build_link_table(snap, rng, cfg.channel)
         for vn in range(0, table.n_vn, 37):
             for bs in range(table.n_bs):
+                radio = cfg.channel.lte if table.is_lte[bs] else cfg.channel.mmw
                 expected = achievable_rate(
-                    float(table.snr_db[vn, bs]),
-                    float(table.bandwidth_hz[bs]), 1,
+                    float(table.snr_db[vn, bs]), radio.bandwidth_hz, 1,
                     table.snr_threshold_db)
                 assert table.unit_rate_bps[vn, bs] == pytest.approx(expected, rel=1e-12)
 

@@ -70,6 +70,20 @@ class TestExitCodes:
         assert "config error" in err and "mmw_density_grid_per_km2" in err
         assert out == ""
 
+    @pytest.mark.parametrize("doc,key", [
+        ('{"lte_density_per_km2": Infinity}', "lte_density_per_km2"),
+        ('{"no_change_window_multiplier": Infinity}', "no_change_window_multiplier"),
+        ('{"snr_threshold_db": NaN}', "snr_threshold_db"),
+        ('{"channel": {"mmw": {"bandwidth_hz": Infinity}}}', "channel.mmw.bandwidth_hz"),
+    ], ids=["lte-density", "window", "threshold", "mmw-bandwidth"])
+    def test_non_finite_config_value_is_exit_1(self, capsys, tmp_path, doc, key):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, "--config", str(path), *FAST)
+        assert code == 1
+        assert "config error" in err and f"{key}: must be finite" in err
+        assert out == ""
+
     def test_unwritable_out_is_exit_2(self, capsys, fast_config, tmp_path):
         # --out is opened before the first run, so no cell is simulated
         dest = tmp_path / "no" / "such" / "dir" / "out.csv"

@@ -1,3 +1,4 @@
+import fnmatch
 import io
 import json
 import re
@@ -188,12 +189,43 @@ def nested(key, value):
 
 LEAVES = sorted(leaf_fields(ScenarioConfig()))
 
+# every float leaf, the optional ones set so that their type shows
+FLOAT_LEAVES = [(key, value) for key, value in sorted(leaf_fields(
+    ScenarioConfig(channel=ChannelParams(los_probability_override=0.5)).resolved()))
+    if isinstance(value, float) or (isinstance(value, tuple) and isinstance(value[0], float))]
+
+
+def with_first(value, bad):
+    """``value`` with ``bad`` in place of the scalar or the first entry."""
+    return [bad, *value[1:]] if isinstance(value, tuple) else bad
+
+
+def names_key(message, key):
+    """True when the error's leading key is ``key``, one of its entries, or
+    a wildcard key that covers it (``channel.*.bandwidth_hz``)."""
+    named = message.split(":")[0].split("[")[0]
+    return fnmatch.fnmatchcase(key, named)
+
 
 class TestSchema:
     @pytest.mark.parametrize("key,default", LEAVES, ids=[k for k, _ in LEAVES])
     def test_wrong_type_names_dotted_key(self, key, default):
         with pytest.raises(ConfigError, match=re.escape(key)):
             config_from_dict(nested(key, wrong_type(default)))
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")],
+                             ids=["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("key,value", FLOAT_LEAVES, ids=[k for k, _ in FLOAT_LEAVES])
+    def test_non_finite_float_names_dotted_key(self, key, value, bad):
+        # through JSON text, which spells these Infinity, -Infinity and NaN
+        text = json.dumps(nested(key, with_first(value, bad)))
+        with pytest.raises(ConfigError) as error:
+            load_config(io.StringIO(text))
+        assert names_key(str(error.value), key), str(error.value)
+
+    def test_float_leaf_count(self):
+        # 10 scenario fields, 16 channel scalars, 3 radio floats per tier
+        assert len(FLOAT_LEAVES) == 32
 
     def test_leaf_count(self):
         # 15 scenario fields, 17 channel scalars, 4 radio fields per tier

@@ -80,6 +80,21 @@ def assert_same_as_reference(table, policy, state, seed, **multipliers):
     assert (picks, converged) == (ref_picks, ref_converged)
 
 
+def assert_ms_attach_is_greedy_pass(table):
+    """MS ``initial_attach`` equals the per-vehicle greedy pass with the MS
+    kernel, and makes no kernel call."""
+    want = oracles.reference_initial_attach(table, Policy.MS)
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(POLICY_KERNELS, Policy.MS, lambda *args: calls.append(args))
+        got = initial_attach(None, table, Policy.MS)
+    assert not calls
+    assert np.array_equal(got.assignment, want.assignment)
+    assert np.array_equal(got.loads, want.loads)
+    assert (got.assignment.dtype, got.loads.dtype) == (np.int64, np.int64)
+    return got
+
+
 def run_engine(table, policy, seed=0, window=50.0, cap=400.0):
     state = initial_attach(None, table, policy)
     return steady_state(state, None, table, policy,
@@ -116,6 +131,28 @@ class TestInitialAttach:
         state = initial_attach(None, table, Policy.MR)
         assert list(state.assignment) == [-1, 0]
         assert list(state.loads) == [1]
+
+    @pytest.mark.parametrize("lam", [0.0, 4.0, 40.0, 80.0])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_ms_equals_greedy_pass_on_snapshots(self, lam, seed):
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(seed)
+        snap = build_snapshot(cfg, lam, rng)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+        assert_ms_attach_is_greedy_pass(table)
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_ms_equals_greedy_pass_on_micro_tables(self, data):
+        # exact SNR ties, rows fully in outage and tables with no station
+        assert_ms_attach_is_greedy_pass(data.draw(micro_tables()))
+
+    def test_ms_tie_goes_to_lowest_id_and_outage_row_stays_off(self):
+        table = make_table([[10.0, 10.0, 3.0], [-30.0, -30.0, -30.0],
+                            [0.0, 20.0, 20.0]], [1e9] * 3, [False] * 3)
+        state = assert_ms_attach_is_greedy_pass(table)
+        assert list(state.assignment) == [0, -1, 1]
+        assert list(state.loads) == [1, 1, 0]
 
 
 class TestSteadyState:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from v2isim import (
+    ChannelParams,
     ScenarioConfig,
     Snapshot,
     build_link_table,
@@ -9,6 +10,7 @@ from v2isim import (
     deploy_base_stations,
     deploy_vehicles,
 )
+from conftest import los_snr_db
 
 CHI2_CRIT_15DOF_P001 = 37.697  # 0.1% tail of chi-square with 15 dof
 
@@ -38,16 +40,20 @@ class TestDeployBaseStations:
 
     def test_mmw_parameters_per_tier(self, rng):
         # every station sits in the area, and each link column carries its
-        # tier's bandwidth and beamforming gain
-        cfg = ScenarioConfig()
+        # tier's bandwidth and beamforming gain; with every link in LOS the
+        # SNR above the unit-gain budget is the gain
+        cfg = ScenarioConfig(channel=ChannelParams(los_probability_override=1.0))
         snap = build_snapshot(cfg, 80.0, rng)
         assert np.all((snap.bs_xy >= 0.0) & (snap.bs_xy <= 1000.0))
         table = build_link_table(snap, rng, cfg.channel)
         lte = snap.is_lte
-        assert np.all(table.bandwidth_hz[lte] == 20e6)
-        assert np.all(table.bandwidth_hz[~lte] == 1e9)
-        assert np.all(table.gain[:, lte] == 1.0)
-        assert np.all(table.gain[:, ~lte] == 64.0 * 16.0)
+        served = table.snr_db >= table.snr_threshold_db
+        bandwidth = table.unit_rate_bps / np.log2(1.0 + 10.0 ** (table.snr_db / 10.0))
+        assert np.allclose(bandwidth[:, lte][served[:, lte]], 20e6, rtol=1e-12, atol=0)
+        assert np.allclose(bandwidth[:, ~lte][served[:, ~lte]], 1e9, rtol=1e-12, atol=0)
+        gain_db = table.snr_db - los_snr_db(snap, cfg.channel, unit_gain=True)
+        assert np.allclose(gain_db[:, lte], 10.0 * np.log10(1.0), rtol=0, atol=1e-9)
+        assert np.allclose(gain_db[:, ~lte], 10.0 * np.log10(64.0 * 16.0), rtol=0, atol=1e-9)
 
     def test_ids_unique_and_lte_first(self):
         # draw order: LTE count and xy, then mmWave count and xy

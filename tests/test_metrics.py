@@ -155,16 +155,10 @@ def class4_row(rates, run_index, other=()):
 
 
 class TestSummarize:
-    def test_single_run_copies_metrics_with_nan_se(self):
+    def test_single_run_copies_metrics(self):
         summary = summarize([metrics_row(0.5)])
         assert summary.p_sat == 0.5
-        assert math.isnan(summary.p_sat_se)
         assert summary.run_count == 1
-
-    def test_two_identical_runs_zero_se(self):
-        summary = summarize([metrics_row(0.5, run_index=0),
-                             metrics_row(0.5, run_index=1)])
-        assert summary.p_sat_se == 0.0
 
     def test_mean_of_two(self):
         summary = summarize([metrics_row(0.5, run_index=0),
