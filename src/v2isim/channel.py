@@ -67,16 +67,17 @@ def path_loss(tier: Tier, los, d_3d_m, carrier_hz: float,
     d = np.maximum(np.asarray(d_3d_m, dtype=float), p.min_distance_m)
     los_arr = np.asarray(los, dtype=bool)
     if tier is Tier.LTE:
-        d_km = d / 1000.0
-        pl_los = p.lte_pl_los_intercept_db + p.lte_pl_los_distance_slope_db * np.log10(d_km)
-        pl_nlos = p.lte_pl_nlos_intercept_db + p.lte_pl_nlos_distance_slope_db * np.log10(d_km)
+        log_d = np.log10(d / 1000.0)  # distance in km
+        pl_los = p.lte_pl_los_intercept_db + p.lte_pl_los_distance_slope_db * log_d
+        pl_nlos = p.lte_pl_nlos_intercept_db + p.lte_pl_nlos_distance_slope_db * log_d
     else:
+        log_d = np.log10(d)
         f_ghz = carrier_hz / 1e9
         pl_los = (p.mmw_pl_los_intercept_db
-                  + p.mmw_pl_los_distance_slope_db * np.log10(d)
+                  + p.mmw_pl_los_distance_slope_db * log_d
                   + p.mmw_pl_los_frequency_slope_db * math.log10(f_ghz))
         pl_nlos = (p.mmw_pl_nlos_intercept_db
-                   + p.mmw_pl_nlos_distance_slope_db * np.log10(d)
+                   + p.mmw_pl_nlos_distance_slope_db * log_d
                    + p.mmw_pl_nlos_frequency_slope_db * math.log10(f_ghz)
                    - p.mmw_pl_nlos_height_slope_db * (p.vn_height_m - 1.5))
     pl = np.where(los_arr, pl_los, np.maximum(pl_los, pl_nlos))

@@ -203,16 +203,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
         _require(0 <= x_min < x_max <= side and 0 <= y_min < y_max <= side,
                  "measurement_region_m: must be a non-empty rectangle inside the area")
     ch = cfg.channel
-    _require(ch.lte.bandwidth_hz > 0 and ch.mmw.bandwidth_hz > 0,
-             "channel.*.bandwidth_hz: must be > 0")
-    _require(ch.lte.carrier_hz > 0 and ch.mmw.carrier_hz > 0,
-             "channel.*.carrier_hz: must be > 0")
-    _require(ch.lte.array_elements >= 1 and ch.mmw.array_elements >= 1,
-             "channel.*.array_elements: must be >= 1")
+    for tier, radio in (("lte", ch.lte), ("mmw", ch.mmw)):
+        _require(radio.bandwidth_hz > 0, f"channel.{tier}.bandwidth_hz: must be > 0")
+        _require(radio.carrier_hz > 0, f"channel.{tier}.carrier_hz: must be > 0")
+        _require(radio.array_elements >= 1, f"channel.{tier}.array_elements: must be >= 1")
     _require(ch.vn_array_elements >= 1, "channel.vn_array_elements: must be >= 1")
     _require(ch.min_distance_m > 0, "channel.min_distance_m: must be > 0")
-    _require(ch.bs_height_m >= 0 and ch.vn_height_m >= 0,
-             "channel.*_height_m: must be >= 0")
+    for key in ("bs_height_m", "vn_height_m"):
+        _require(getattr(ch, key) >= 0, f"channel.{key}: must be >= 0")
     if ch.los_probability_override is not None:
         _require(0.0 <= ch.los_probability_override <= 1.0,
                  "channel.los_probability_override: must lie in [0, 1]")

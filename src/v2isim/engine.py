@@ -6,11 +6,12 @@ window -> per-vehicle realized rates from the final loads. Runs are fully
 deterministic in their seed; campaign seeds are derived per
 (density, policy, run index) so any cell is reproducible in isolation.
 
-The reassignment loop calls the policy kernel only when the picked vehicle
-will move. The other picks change nothing, so they are counted without a
-kernel call, and the loop returns exactly what a loop evaluating every pick
-would return. Under MS, whose choice ignores loads, the greedy initial
-attachment is one vectorized argmax.
+The engine calls the attachment rules only through
+``policy.POLICY_KERNELS``, looked up at each call, and a call evaluates the
+rule for a block of vehicles at once. The reassignment loop evaluates it
+once for every vehicle and then once per move; the other picks change
+nothing, so they are counted without an evaluation, and the loop returns
+exactly what a loop evaluating every pick would return.
 """
 from __future__ import annotations
 
@@ -23,12 +24,13 @@ import numpy as np
 from .channel import LinkTable, build_link_table
 from .config import POLICY_NAMES, ScenarioConfig
 from .geometry import Snapshot, build_snapshot
-from .policy import NO_BS, POLICY_KERNELS, Policy
+from .policy import NO_BS, POLICY_KERNELS, Policy, unsettled
 
 TIER_NONE, TIER_LTE, TIER_MMWAVE = 0, 1, 2
 TIER_NAMES = {TIER_NONE: "NONE", TIER_LTE: "LTE", TIER_MMWAVE: "MMWAVE"}
 
 _PICK_BATCH = 4096
+_ATTACH_BLOCK = 32
 
 
 @dataclass
@@ -41,11 +43,6 @@ class AssociationState:
 
     assignment: np.ndarray
     loads: np.ndarray
-
-    @classmethod
-    def empty(cls, n_vn: int, n_bs: int) -> "AssociationState":
-        return cls(np.full(n_vn, NO_BS, dtype=np.int64),
-                   np.zeros(n_bs, dtype=np.int64))
 
     def check(self) -> None:
         """Recount loads from the assignment and verify consistency."""
@@ -85,85 +82,41 @@ def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
     """Greedy first pass: vehicles attach in ascending id order, each seeing
     the loads accumulated so far.
 
-    MS ignores loads, so its pass is one argmax of ``snr_db`` over all rows
-    and one count of the loads, with no kernel call; MR and RA call the
-    policy kernel once per vehicle."""
-    state = AssociationState.empty(link_table.n_vn, link_table.n_bs)
+    A pass evaluates the rule for a block of the next vehicles at the
+    current loads and accepts the longest prefix in which no station is
+    picked twice: a join lowers only the joined station's post-join rate, so
+    each accepted choice is the one the vehicle makes after the joins before
+    it. The next block starts at the first vehicle that repeats a station.
+    MS ignores loads, so its one block is every vehicle, all accepted."""
+    m = link_table.n_vn
+    state = AssociationState(np.full(m, NO_BS, dtype=np.int64),
+                             np.zeros(link_table.n_bs, dtype=np.int64))
     assignment, loads = state.assignment, state.loads
-    if policy is Policy.MS:
-        assignment[:] = _best_responses(link_table, policy, assignment, loads,
-                                        np.arange(link_table.n_vn))
-        loads[:] = np.bincount(assignment[assignment != NO_BS],
-                               minlength=link_table.n_bs)
-    else:
-        kernel = POLICY_KERNELS[policy]
-        for vn in range(link_table.n_vn):
-            bs = kernel(link_table, vn, loads)
-            assignment[vn] = bs
-            if bs != NO_BS:
-                loads[bs] += 1
+    start = 0
+    while start < m:
+        stop = m if policy is Policy.MS else min(start + _ATTACH_BLOCK, m)
+        choice = POLICY_KERNELS[policy](link_table, assignment, loads,
+                                        np.arange(start, stop))
+        if policy is not Policy.MS:
+            choice = choice[:_first_repeat(choice)]
+        assignment[start:start + choice.size] = choice
+        np.add.at(loads, choice[choice != NO_BS], 1)
+        start += choice.size
     if __debug__:
         state.check()
     return state
 
 
-def _best_responses(table: LinkTable, policy: Policy, assignment: np.ndarray,
-                    loads: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """What ``POLICY_KERNELS[policy]`` returns for each vehicle in ``rows``
-    at the current loads without that vehicle, computed for all rows at once
-    with the kernels' own float operations: ``unit / (loads_excl + 1.0)``,
-    ``argmax`` with ties to the lowest id and, under RA, the strict
-    ``> required`` test on the best LTE cell."""
-    if table.n_bs == 0:
-        return np.full(rows.size, NO_BS, dtype=np.int64)
-    pick = np.arange(rows.size)
-    if policy is Policy.MS:
-        snr = table.snr_db[rows]
-        best = snr.argmax(axis=1)
-        return np.where(snr[pick, best] < table.snr_threshold_db, NO_BS, best)
-    unit = table.unit_rate_bps[rows]
-    rates = unit / (loads + 1.0)
-    own = assignment[rows]
-    on = np.flatnonzero(own != NO_BS)
-    # without the vehicle its own station is at loads - 1, so loads[own] - 1 + 1.0
-    rates[on, own[on]] = unit[on, own[on]] / loads[own[on]]
-    best = rates.argmax(axis=1)
-    choice = np.where(rates[pick, best] <= 0.0, NO_BS, best)
-    lte = table.lte_indices
-    if policy is Policy.RA and lte.size:
-        lte_rates = rates[:, lte]
-        best_lte = lte_rates.argmax(axis=1)
-        served = lte_rates[pick, best_lte] > table.required_rate_bps[rows]
-        choice = np.where(served, lte[best_lte], choice)
-    return choice
-
-
-def _unsettled(table: LinkTable, policy: Policy, assignment: np.ndarray,
-               loads: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Mask of the vehicles whose choice may differ after one vehicle moved
-    from station ``a`` to ``b`` (``loads`` already updated).
-
-    MS ignores loads, so nobody. Otherwise every vehicle on ``b``, which
-    lost rate, and every vehicle off ``a`` for which ``a`` at its new load
-    rates at least as high as its own station; under RA also those for
-    which LTE cell ``a`` now beats the required rate. A vehicle on ``a``
-    only gained, and no other station changed.
-    """
-    m = assignment.size
-    if policy is Policy.MS:
-        return np.zeros(m, dtype=bool)
-    unsettled = assignment == b if b != NO_BS else np.zeros(m, dtype=bool)
-    if a != NO_BS:
-        unit = table.unit_rate_bps
-        at_a = unit[:, a] / (loads[a] + 1.0)
-        on = np.flatnonzero(assignment != NO_BS)
-        current = np.zeros(m)
-        current[on] = unit[on, assignment[on]] / loads[assignment[on]]
-        drawn = (at_a >= current) & (at_a > 0.0)
-        if policy is Policy.RA and table.is_lte[a]:
-            drawn |= at_a > table.required_rate_bps
-        unsettled |= drawn & (assignment != a)
-    return unsettled
+def _first_repeat(choice: np.ndarray) -> int:
+    """Index of the first entry naming a station an earlier entry names, or
+    the length when every station appears at most once."""
+    seen = set()
+    for i, bs in enumerate(choice.tolist()):
+        if bs in seen:
+            return i
+        if bs != NO_BS:
+            seen.add(bs)
+    return choice.size
 
 
 def steady_state(state: AssociationState, snapshot: Snapshot | None,
@@ -179,27 +132,27 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     ceil(window_multiplier * M) consecutive picks, or at the hard cap of
     ceil(cap_multiplier * M) total picks. Returns (state, picks, converged).
 
-    Only a pick of a vehicle that will move calls the policy kernel. A
-    ``dirty`` mask holds the vehicles whose choice differs from their
-    station; after each move the dirty vehicles and those the move may
-    have unsettled are re-evaluated at once. A clean pick counts toward
-    ``picks`` and the no-change streak without a kernel call. Picks are
-    drawn in the same blocks from the same generator as a loop that
-    evaluates every pick, so the result is the same. Once no vehicle is
-    dirty, every further pick would change nothing and the remaining count
-    is added without drawing: MS, whose choice ignores loads, returns
-    min(window, cap) picks straight after the initial attach, without a
-    loop.
+    The rule is evaluated once for every vehicle, then once per move. A
+    ``choice`` vector holds each vehicle's current choice and a ``dirty``
+    mask the vehicles whose choice differs from their station. A pick of a
+    clean vehicle changes nothing and only counts toward ``picks`` and the
+    no-change streak; a dirty pick moves to its ``choice``. After each move
+    the dirty vehicles and those the move may have unsettled are
+    re-evaluated in one call. Picks are drawn in the same blocks from the
+    same generator as a loop that evaluates every pick, so the result is
+    the same. Once no vehicle is dirty, every further pick would change
+    nothing and the remaining count is added without drawing: MS, whose
+    choice ignores loads, returns min(window, cap) picks straight after the
+    initial attach, without a loop.
     """
     m = link_table.n_vn
     if m == 0:
         return state, 0, True
     window = max(1, math.ceil(no_change_window_multiplier * m))
     cap = max(1, math.ceil(pick_cap_multiplier * m))
-    kernel = POLICY_KERNELS[policy]
     assignment, loads = state.assignment, state.loads
-    dirty = _best_responses(link_table, policy, assignment, loads,
-                            np.arange(m)) != assignment
+    choice = POLICY_KERNELS[policy](link_table, assignment, loads, np.arange(m))
+    dirty = choice != assignment
     picks = 0
     streak = 0
     while picks < cap and streak < window:
@@ -219,24 +172,20 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
             clean = int(ahead[0])
             vn = int(batch[done + clean])
             picks += clean + 1
-            streak += clean
             done += clean + 1
-            old = assignment[vn]
+            streak = 0
+            old, new = int(assignment[vn]), int(choice[vn])
             if old != NO_BS:
                 loads[old] -= 1
-            new = kernel(link_table, vn, loads)
-            assignment[vn] = new
             if new != NO_BS:
                 loads[new] += 1
+            assignment[vn] = new
             dirty[vn] = False
-            if new == old:
-                streak += 1
-            else:
-                streak = 0
-                recheck = np.flatnonzero(
-                    dirty | _unsettled(link_table, policy, assignment, loads, old, new))
-                dirty[recheck] = _best_responses(
-                    link_table, policy, assignment, loads, recheck) != assignment[recheck]
+            recheck = np.flatnonzero(
+                dirty | unsettled(link_table, policy, assignment, loads, old, new))
+            choice[recheck] = POLICY_KERNELS[policy](link_table, assignment,
+                                                     loads, recheck)
+            dirty[recheck] = choice[recheck] != assignment[recheck]
         rest = min(batch.size - done, window - streak)
         picks += rest
         streak += rest

@@ -6,9 +6,14 @@ with the package internals they verify. Arithmetic follows the documented
 order (unit rate at load 1, divided by the post-join load) so exact float
 comparison against the engine is meaningful.
 
+``REFERENCE_RULES`` holds the three attachment rules in their scalar form,
+one vehicle per call: ``rule(table, vn, loads)`` with ``loads`` counting
+every vehicle but ``vn``. The package's vectorized ``POLICY_KERNELS`` must
+return what they return, row by row.
+
 ``reference_initial_attach`` and ``reference_steady_state`` are the
 engine's greedy first pass and randomized best-response loop in their plain
-form, one policy-kernel call per vehicle or pick; the engine must return
+form, one reference-rule call per vehicle or pick; the engine must return
 exactly what they return.
 """
 import itertools
@@ -16,7 +21,7 @@ import math
 
 import numpy as np
 
-from v2isim import NO_BS, POLICY_KERNELS, AssociationState
+from v2isim import NO_BS, AssociationState, Policy
 from v2isim.engine import _PICK_BATCH
 
 NONE = -1
@@ -107,12 +112,50 @@ def find_fixed_point(policy_name, instance):
     return None
 
 
+def ms_choice(table, vn, loads):
+    """Attach to the base station with the highest SNR, load notwithstanding."""
+    row = table.snr_db[vn]
+    if row.size == 0:
+        return NO_BS
+    j = int(np.argmax(row))
+    return NO_BS if row[j] < table.snr_threshold_db else j
+
+
+def mr_choice(table, vn, loads):
+    """Attach to the base station offering the highest post-join rate."""
+    rates = table.unit_rate_bps[vn] / (loads + 1.0)
+    if rates.size == 0:
+        return NO_BS
+    j = int(np.argmax(rates))
+    return NO_BS if rates[j] <= 0.0 else j
+
+
+def ra_choice(table, vn, loads):
+    """Prefer the best LTE cell when its post-join rate strictly exceeds the
+    vehicle's required rate; otherwise fall back to the max-rate choice over
+    all cells."""
+    lte = table.lte_indices
+    if lte.size:
+        lte_rates = table.unit_rate_bps[vn, lte] / (loads[lte] + 1.0)
+        jl = int(np.argmax(lte_rates))
+        if lte_rates[jl] > table.required_rate_bps[vn]:
+            return int(lte[jl])
+    return mr_choice(table, vn, loads)
+
+
+REFERENCE_RULES = {
+    Policy.MS: ms_choice,
+    Policy.MR: mr_choice,
+    Policy.RA: ra_choice,
+}
+
+
 def reference_initial_attach(link_table, policy):
     """Greedy first pass: vehicles attach in ascending id order, each seeing
     the loads accumulated so far."""
     assignment = np.full(link_table.n_vn, NO_BS, dtype=np.int64)
     loads = np.zeros(link_table.n_bs, dtype=np.int64)
-    kernel = POLICY_KERNELS[policy]
+    kernel = REFERENCE_RULES[policy]
     for vn in range(link_table.n_vn):
         bs = kernel(link_table, vn, loads)
         assignment[vn] = bs
@@ -136,7 +179,7 @@ def reference_steady_state(state, snapshot, link_table, policy, rng, *,
         return state, 0, True
     window = max(1, math.ceil(no_change_window_multiplier * m))
     cap = max(1, math.ceil(pick_cap_multiplier * m))
-    kernel = POLICY_KERNELS[policy]
+    kernel = REFERENCE_RULES[policy]
     assignment, loads = state.assignment, state.loads
     picks = 0
     streak = 0

@@ -270,7 +270,7 @@ def prop_jain_bounds_and_scale_invariance(xs, scale):
        slope_cents=st.integers(25, 400), offset_cents=st.integers(-5000, 5000))
 def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
                                                       offset_cents):
-    from v2isim import POLICY_KERNELS
+    from v2isim import NO_BS, POLICY_KERNELS
 
     ms_choice = POLICY_KERNELS[Policy.MS]
     snr = np.array([[c / 100.0 for c in snr_cents]])
@@ -281,7 +281,9 @@ def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
     transformed = make_table(slope * snr + offset, [1e9] * n, [False] * n,
                              snr_threshold_db=slope * -5.0 + offset)
     loads = np.zeros(n, dtype=np.int64)
-    assert ms_choice(base, 0, loads) == ms_choice(transformed, 0, loads)
+    unattached, rows = np.array([NO_BS]), np.array([0])
+    assert ms_choice(base, unattached, loads, rows) == \
+        ms_choice(transformed, unattached, loads, rows)
 
 
 @PROPERTY_SETTINGS

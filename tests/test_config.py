@@ -1,4 +1,3 @@
-import fnmatch
 import io
 import json
 import re
@@ -117,6 +116,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="class_requirements_bps"):
             config_from_dict({"class_requirements_bps": [1e6, 1e7]})
 
+    @pytest.mark.parametrize("key,bad", [
+        ("channel.lte.bandwidth_hz", 0.0), ("channel.mmw.bandwidth_hz", -1e9),
+        ("channel.lte.carrier_hz", 0.0), ("channel.mmw.carrier_hz", -28e9),
+        ("channel.lte.array_elements", 0), ("channel.mmw.array_elements", 0),
+        ("channel.bs_height_m", -1.0), ("channel.vn_height_m", -0.5),
+    ])
+    def test_tier_radio_and_height_checks_name_the_key(self, key, bad):
+        with pytest.raises(ConfigError) as error:
+            config_from_dict(nested(key, bad))
+        assert names_key(str(error.value), key), str(error.value)
+
     def test_wrong_type_reports_key(self):
         with pytest.raises(ConfigError, match="area_km2"):
             config_from_dict({"area_km2": "one"})
@@ -201,10 +211,8 @@ def with_first(value, bad):
 
 
 def names_key(message, key):
-    """True when the error's leading key is ``key``, one of its entries, or
-    a wildcard key that covers it (``channel.*.bandwidth_hz``)."""
-    named = message.split(":")[0].split("[")[0]
-    return fnmatch.fnmatchcase(key, named)
+    """True when the error's leading key is ``key`` or one of its entries."""
+    return message.split(":")[0].split("[")[0] == key
 
 
 class TestSchema:

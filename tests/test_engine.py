@@ -17,7 +17,7 @@ from v2isim import (
     run_once,
     steady_state,
 )
-from v2isim.engine import _best_responses
+from v2isim.engine import _ATTACH_BLOCK
 from conftest import make_table
 import oracles
 
@@ -31,12 +31,12 @@ SNR_GRID = [-30.0, -5.0, 0.0, 10.0, 20.0]
 
 
 @st.composite
-def micro_tables(draw):
+def micro_tables(draw, n_vn=st.integers(1, 7), n_bs=st.integers(0, 4)):
     """Small link tables with exact ties: LTE-less, LTE-only or mixed, some
     rows fully in outage, possibly no station at all, and required rates
     that can equal an LTE post-join rate exactly."""
-    n_vn = draw(st.integers(1, 7))
-    n_bs = draw(st.integers(0, 4))
+    n_vn = draw(n_vn)
+    n_bs = draw(n_bs)
     mixed = draw(st.lists(st.booleans(), min_size=n_bs, max_size=n_bs))
     is_lte = draw(st.sampled_from([[False] * n_bs, [True] * n_bs, mixed]))
     bw = [20e6 if lte else draw(st.sampled_from([20e6, 1e9])) for lte in is_lte]
@@ -80,15 +80,22 @@ def assert_same_as_reference(table, policy, state, seed, **multipliers):
     assert (picks, converged) == (ref_picks, ref_converged)
 
 
-def assert_ms_attach_is_greedy_pass(table):
-    """MS ``initial_attach`` equals the per-vehicle greedy pass with the MS
-    kernel, and makes no kernel call."""
-    want = oracles.reference_initial_attach(table, Policy.MS)
-    calls = []
+def assert_attach_is_greedy_pass(table, policy):
+    """``initial_attach`` equals the per-vehicle greedy pass with the
+    reference rule; under MS it evaluates the rule once, for every row."""
+    want = oracles.reference_initial_attach(table, policy)
+    kernel, calls = POLICY_KERNELS[policy], []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(POLICY_KERNELS, Policy.MS, lambda *args: calls.append(args))
-        got = initial_attach(None, table, Policy.MS)
-    assert not calls
+        patch.setitem(POLICY_KERNELS, policy, counted)
+        got = initial_attach(None, table, policy)
+    if policy is Policy.MS:
+        assert len(calls) == min(table.n_vn, 1)
+    assert len(calls) <= table.n_vn
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.loads, want.loads)
     assert (got.assignment.dtype, got.loads.dtype) == (np.int64, np.int64)
@@ -132,25 +139,36 @@ class TestInitialAttach:
         assert list(state.assignment) == [-1, 0]
         assert list(state.loads) == [1]
 
+    @pytest.mark.parametrize("policy", list(Policy))
     @pytest.mark.parametrize("lam", [0.0, 4.0, 40.0, 80.0])
     @pytest.mark.parametrize("seed", range(3))
-    def test_ms_equals_greedy_pass_on_snapshots(self, lam, seed):
+    def test_equals_greedy_pass_on_snapshots(self, lam, seed, policy):
         cfg = ScenarioConfig()
         rng = np.random.default_rng(seed)
         snap = build_snapshot(cfg, lam, rng)
         table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
-        assert_ms_attach_is_greedy_pass(table)
+        assert_attach_is_greedy_pass(table, policy)
 
     @PROPERTY_SETTINGS
-    @given(data=st.data())
-    def test_ms_equals_greedy_pass_on_micro_tables(self, data):
-        # exact SNR ties, rows fully in outage and tables with no station
-        assert_ms_attach_is_greedy_pass(data.draw(micro_tables()))
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)))
+    def test_equals_greedy_pass_on_micro_tables(self, data, policy):
+        # exact ties, rows fully in outage and tables with no station
+        assert_attach_is_greedy_pass(data.draw(micro_tables()), policy)
+
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)))
+    def test_equals_greedy_pass_on_crowded_tables(self, data, policy):
+        # more vehicles than one block on 1-3 stations, so a block repeats
+        # a station early unless its rows are in outage
+        table = data.draw(micro_tables(
+            n_vn=st.integers(_ATTACH_BLOCK + 1, 2 * _ATTACH_BLOCK),
+            n_bs=st.integers(1, 3)))
+        assert_attach_is_greedy_pass(table, policy)
 
     def test_ms_tie_goes_to_lowest_id_and_outage_row_stays_off(self):
         table = make_table([[10.0, 10.0, 3.0], [-30.0, -30.0, -30.0],
                             [0.0, 20.0, 20.0]], [1e9] * 3, [False] * 3)
-        state = assert_ms_attach_is_greedy_pass(table)
+        state = assert_attach_is_greedy_pass(table, Policy.MS)
         assert list(state.assignment) == [0, -1, 1]
         assert list(state.loads) == [1, 1, 0]
 
@@ -256,29 +274,43 @@ class TestSteadyState:
                                  seed + 1)
 
     @pytest.mark.parametrize("policy", list(Policy))
-    def test_kernel_runs_only_for_vehicles_that_move(self, monkeypatch,
-                                                     policy):
+    def test_rule_runs_once_and_then_once_per_move(self, monkeypatch, policy):
         cfg = ScenarioConfig()
-        rng = np.random.default_rng(derive_run_seed(1, 40.0, policy, 0))
+        seed = derive_run_seed(1, 40.0, policy, 0)
+        rng = np.random.default_rng(seed)
         snap = build_snapshot(cfg, 40.0, rng)
         table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         state = initial_attach(snap, table, policy)
-        kernel, moved = POLICY_KERNELS[policy], []
+        ref = AssociationState(state.assignment.copy(), state.loads.copy())
+        # the moves, counted in the reference loop, which calls its rule
+        # before it re-inserts the picked vehicle
+        rule, moves = oracles.REFERENCE_RULES[policy], []
 
-        def counted(table, vn, loads):
-            choice = kernel(table, vn, loads)
-            moved.append(choice != state.assignment[vn])
+        def counted_rule(table, vn, loads):
+            choice = rule(table, vn, loads)
+            moves.append(choice != ref.assignment[vn])
             return choice
 
-        monkeypatch.setitem(POLICY_KERNELS, policy, counted)
+        kernel, calls = POLICY_KERNELS[policy], []
+
+        def counted_kernel(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setitem(oracles.REFERENCE_RULES, policy, counted_rule)
+        monkeypatch.setitem(POLICY_KERNELS, policy, counted_kernel)
+        rng_state = rng.bit_generator.state
         _, picks, converged = steady_state(state, snap, table, policy, rng)
+        rng.bit_generator.state = rng_state
+        oracles.reference_steady_state(ref, snap, table, policy, rng)
+        assert np.array_equal(state.assignment, ref.assignment)
         assert converged and picks >= 3 * table.n_vn
+        assert len(calls) == 1 + sum(moves)
         if policy is Policy.MS:
-            assert not moved
+            assert len(calls) == 1
             assert picks == 3 * table.n_vn
         else:
-            assert 0 < len(moved) < 0.1 * picks
-            assert all(moved)  # the dirty mask is exact: every call moves
+            assert 0 < sum(moves) < 0.1 * picks
 
     def test_load_consistency_after_dynamics(self, rng):
         for _ in range(20):
@@ -294,7 +326,7 @@ class TestSteadyState:
 class TestBestResponses:
     @PROPERTY_SETTINGS
     @given(data=st.data(), policy=st.sampled_from(list(Policy)))
-    def test_equals_kernel_row_by_row(self, data, policy):
+    def test_equals_reference_rule_row_by_row(self, data, policy):
         table = data.draw(micro_tables())
         state = data.draw(states(table, policy))
         # other vehicles' load on top, so post-join loads above 1 appear
@@ -302,13 +334,18 @@ class TestBestResponses:
             st.integers(0, 3), min_size=table.n_bs, max_size=table.n_bs)),
             dtype=np.int64)
         loads = state.loads + extra
-        got = _best_responses(table, policy, state.assignment, loads,
-                              np.arange(table.n_vn))
-        for vn, own in enumerate(state.assignment):
+        # any rows, in any order, repeated or none
+        rows = np.array(data.draw(st.lists(st.integers(0, table.n_vn - 1),
+                                           max_size=2 * table.n_vn)),
+                        dtype=np.int64)
+        got = POLICY_KERNELS[policy](table, state.assignment, loads, rows)
+        assert got.shape == rows.shape and got.dtype == np.int64
+        for vn, choice in zip(rows, got):
+            own = state.assignment[vn]
             without = loads.copy()
             if own >= 0:
                 without[own] -= 1
-            assert got[vn] == POLICY_KERNELS[policy](table, vn, without)
+            assert choice == oracles.REFERENCE_RULES[policy](table, vn, without)
 
 
 class TestRunOnce:

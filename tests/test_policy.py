@@ -3,9 +3,19 @@ import numpy as np
 from v2isim import NO_BS, POLICY_KERNELS, Policy
 from conftest import make_table
 
-ms_choice = POLICY_KERNELS[Policy.MS]
-mr_choice = POLICY_KERNELS[Policy.MR]
-ra_choice = POLICY_KERNELS[Policy.RA]
+
+def rule(policy):
+    """``policy``'s choice for one unattached vehicle ``vn`` at ``loads``."""
+    def choice(table, vn, loads):
+        unattached = np.full(table.n_vn, NO_BS)
+        return POLICY_KERNELS[policy](table, unattached, np.asarray(loads),
+                                      np.array([vn]))[0]
+    return choice
+
+
+ms_choice = rule(Policy.MS)
+mr_choice = rule(Policy.MR)
+ra_choice = rule(Policy.RA)
 
 
 def no_load(table):
