@@ -18,7 +18,6 @@ from .config import (
     TierRadio,
     config_from_dict,
     load_config,
-    validate_config,
 )
 from .engine import (
     AssociationState,
@@ -31,13 +30,7 @@ from .engine import (
     run_spec,
     steady_state,
 )
-from .geometry import (
-    Snapshot,
-    Tier,
-    build_snapshot,
-    deploy_base_stations,
-    deploy_vehicles,
-)
+from .geometry import Snapshot, Tier, build_snapshot
 from .metrics import (
     CellSummary,
     RunMetrics,
@@ -58,10 +51,9 @@ __all__ = [
     "Policy", "RunMetrics", "RunResult", "ScenarioConfig", "Snapshot", "Tier",
     "TierRadio", "achievable_rate", "build_link_table", "build_snapshot",
     "compute_run_metrics", "config_from_dict", "cumulative_gain",
-    "deploy_base_stations", "deploy_vehicles", "derive_run_seed",
-    "initial_attach", "jain_index", "load_config", "los_probability_lte",
-    "los_probability_mmw", "lte_ratio", "mean_rate_per_class", "path_loss",
-    "realized_rates", "run_campaign", "run_once", "run_spec",
-    "satisfaction_ratio", "snr_db", "steady_state", "summarize",
-    "validate_config", "worst_decile_mean", "write_results",
+    "derive_run_seed", "initial_attach", "jain_index", "load_config",
+    "los_probability_lte", "los_probability_mmw", "lte_ratio",
+    "mean_rate_per_class", "path_loss", "realized_rates", "run_campaign",
+    "run_once", "run_spec", "satisfaction_ratio", "snr_db", "steady_state",
+    "summarize", "worst_decile_mean", "write_results",
 ]

@@ -132,7 +132,7 @@ class LinkTable:
 
     def __init__(self, snr: np.ndarray, bandwidth_hz: np.ndarray,
                  is_lte: np.ndarray, required_rate_bps: np.ndarray,
-                 snr_threshold_db: float = DEFAULT_SNR_THRESHOLD_DB):
+                 snr_threshold_db: float):
         snr = np.asarray(snr, dtype=float)
         self.n_vn, self.n_bs = snr.shape
         self.snr_db = snr
@@ -150,8 +150,7 @@ class LinkTable:
 
 
 def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
-                     params: ChannelParams | None = None,
-                     snr_threshold_db: float = DEFAULT_SNR_THRESHOLD_DB) -> LinkTable:
+                     params: ChannelParams, snr_threshold_db: float) -> LinkTable:
     """Realize every (vehicle, base station) link of one snapshot.
 
     LOS states are Bernoulli draws against the tier's distance-dependent
@@ -160,23 +159,24 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
     written into its columns of one matrix; the LOS states and path losses
     are not kept.
     """
-    p = params or ChannelParams()
     vn, bs = snapshot.vn_xy, snapshot.bs_xy
     d2d = np.hypot(vn[:, 0, None] - bs[None, :, 0], vn[:, 1, None] - bs[None, :, 1])
     uniform = rng.random(size=d2d.shape)
     snr = np.empty(d2d.shape)
     n_lte = snapshot.n_lte
     for tier, radio, cols, los_probability in (
-            (Tier.LTE, p.lte, slice(None, n_lte), lambda d: los_probability_lte(d / 1000.0)),
-            (Tier.MMWAVE, p.mmw, slice(n_lte, None), los_probability_mmw)):
+            (Tier.LTE, params.lte, slice(None, n_lte),
+             lambda d: los_probability_lte(d / 1000.0)),
+            (Tier.MMWAVE, params.mmw, slice(n_lte, None), los_probability_mmw)):
         d = d2d[:, cols]
-        p_los = (los_probability(d) if p.los_probability_override is None
-                 else p.los_probability_override)
+        p_los = (los_probability(d) if params.los_probability_override is None
+                 else params.los_probability_override)
         pl = path_loss(tier, uniform[:, cols] < p_los,
-                       np.hypot(d, p.vn_height_m - p.bs_height_m), radio.carrier_hz, p)
-        gain = cumulative_gain(tier, radio.array_elements, p.vn_array_elements)
+                       np.hypot(d, params.vn_height_m - params.bs_height_m),
+                       radio.carrier_hz, params)
+        gain = cumulative_gain(tier, radio.array_elements, params.vn_array_elements)
         snr[:, cols] = snr_db(radio.tx_power_dbm, gain, pl, radio.bandwidth_hz,
-                              p.noise_psd_dbm_per_hz)
+                              params.noise_psd_dbm_per_hz)
     lte = snapshot.is_lte
-    bandwidth = np.where(lte, p.lte.bandwidth_hz, p.mmw.bandwidth_hz)
+    bandwidth = np.where(lte, params.lte.bandwidth_hz, params.mmw.bandwidth_hz)
     return LinkTable(snr, bandwidth, lte, snapshot.required_rate_bps, snr_threshold_db)

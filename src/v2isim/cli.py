@@ -7,7 +7,7 @@ from contextlib import nullcontext
 from dataclasses import replace
 from typing import IO, Sequence
 
-from .config import ConfigError, ScenarioConfig, load_config, validate_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .engine import run_campaign, run_spec
 from .metrics import compute_run_metrics, summarize
 from .output import write_results, write_run_dump
@@ -76,10 +76,7 @@ def _effective_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["n_sim"] = args.runs
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    if overrides:
-        config = replace(config, **overrides)
-        validate_config(config)
-    return config
+    return replace(config, **overrides)
 
 
 def _dump_spec(config: ScenarioConfig, args: argparse.Namespace,
@@ -100,8 +97,8 @@ def _dump_spec(config: ScenarioConfig, args: argparse.Namespace,
         raise ConfigError(f"--dump-run: unknown policy {policy_name!r}") from exc
     if run_index < 0 or run_index >= config.n_sim:
         raise ConfigError(f"--dump-run: run index {run_index} outside 0..{config.n_sim - 1}")
-    try:
-        validate_config(replace(config, mmw_density_grid_per_km2=(lambda_m,)))
+    try:  # a ScenarioConfig checks its densities when it is built
+        replace(config, mmw_density_grid_per_km2=(lambda_m,))
     except ConfigError as exc:
         raise ConfigError(f"--dump-run: {exc}") from exc
     return config, lambda_m, policy, run_index

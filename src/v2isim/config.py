@@ -2,7 +2,9 @@
 
 All physical quantities carry explicit unit suffixes in their key names
 (_db, _dbm, _hz, _bps, _km2, _m) so a config file can never be ambiguous
-about units.
+about units. A ScenarioConfig checks itself when it is built, on every
+path (JSON, keyword arguments, ``dataclasses.replace``), so the layers
+that read one trust its values.
 """
 from __future__ import annotations
 
@@ -70,7 +72,8 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of a simulation campaign."""
+    """Full description of a simulation campaign; building one raises
+    ConfigError naming the key of the first invalid value."""
 
     area_km2: float = 1.0
     lte_density_per_km2: float = 4.0
@@ -89,6 +92,9 @@ class ScenarioConfig:
     no_change_window_multiplier: float = 3.0
     pick_cap_multiplier: float = 50.0
     channel: ChannelParams = field(default_factory=ChannelParams)
+
+    def __post_init__(self) -> None:
+        validate_config(self)
 
     @property
     def area_side_m(self) -> float:
@@ -152,15 +158,13 @@ def _parse(value: Any, kind: Any, base: Any, path: str) -> Any:
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from a parsed JSON document.
+    """Build a ScenarioConfig from a parsed JSON document.
 
     The accepted keys and their types are the ScenarioConfig fields. Absent
     keys take the defaults of Table-I-style parameters; unknown keys and
     wrong types are rejected with their dotted path.
     """
-    cfg = _parse(doc, ScenarioConfig, ScenarioConfig(), "")
-    validate_config(cfg)
-    return cfg
+    return _parse(doc, ScenarioConfig, ScenarioConfig(), "")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -169,7 +173,8 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    """Raise ConfigError naming the offending key on any invariant violation."""
+    """Raise ConfigError naming the offending key on any invariant violation;
+    ScenarioConfig runs it on construction."""
     _require(cfg.area_km2 > 0, "area_km2: must be > 0")
     _require(cfg.lte_density_per_km2 >= 0, "lte_density_per_km2: must be >= 0")
     _require(len(cfg.mmw_density_grid_per_km2) > 0, "mmw_density_grid_per_km2: must be non-empty")
@@ -206,7 +211,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for tier, radio in (("lte", ch.lte), ("mmw", ch.mmw)):
         _require(radio.bandwidth_hz > 0, f"channel.{tier}.bandwidth_hz: must be > 0")
         _require(radio.carrier_hz > 0, f"channel.{tier}.carrier_hz: must be > 0")
-        _require(radio.array_elements >= 1, f"channel.{tier}.array_elements: must be >= 1")
+    _require(ch.lte.array_elements == 1,
+             "channel.lte.array_elements: must be 1 (LTE is omnidirectional)")
+    _require(ch.mmw.array_elements >= 1, "channel.mmw.array_elements: must be >= 1")
     _require(ch.vn_array_elements >= 1, "channel.vn_array_elements: must be >= 1")
     _require(ch.min_distance_m > 0, "channel.min_distance_m: must be > 0")
     for key in ("bs_height_m", "vn_height_m"):

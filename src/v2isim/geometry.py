@@ -3,18 +3,17 @@ traffic classes and the boundary-effect measurement region.
 
 A snapshot is held as arrays: station xy with the LTE tier in the first
 ``n_lte`` rows, vehicle xy, and each vehicle's class and required rate.
-Radio constants are per tier and come from ``ChannelParams``; heights are
-the configured tier heights.
+It holds no radio parameter: ``channel.build_link_table`` applies the
+tiers' radios and heights to its positions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import N_CLASSES, ScenarioConfig
 
 
 class Tier(Enum):
@@ -46,63 +45,27 @@ class Snapshot:
         return (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
 
 
-def _uniform_xy(count: int, area_km2: float, rng: np.random.Generator) -> np.ndarray:
-    side = math.sqrt(area_km2) * 1000.0
-    return rng.uniform(0.0, side, size=(count, 2))
-
-
-def deploy_base_stations(density_lte_per_km2: float, density_mmw_per_km2: float,
-                         area_km2: float, rng: np.random.Generator,
-                         ) -> tuple[np.ndarray, int]:
-    """Draw both tiers as independent PPPs over the square area.
-
-    Returns (xy, n_lte) with the LTE stations in the first n_lte rows.
-    Empty tiers are valid outcomes and are kept (not redrawn).
-    """
-    if density_lte_per_km2 < 0 or density_mmw_per_km2 < 0:
-        raise ValueError("base-station densities must be >= 0")
-    if area_km2 <= 0:
-        raise ValueError("area_km2 must be > 0")
-    tiers = [_uniform_xy(int(rng.poisson(density * area_km2)), area_km2, rng)
-             for density in (density_lte_per_km2, density_mmw_per_km2)]
-    return np.concatenate(tiers), len(tiers[0])
-
-
-def deploy_vehicles(mode: str, mean_mmw_bs: float, area_km2: float,
-                    rng: np.random.Generator, *,
-                    vns_per_mmw_bs: float = 10.0,
-                    fixed_vn_count: int = 500,
-                    class_probabilities: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25),
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Place vehicles uniformly and draw their traffic classes.
-
-    Returns (xy, class_k). PER_MMW_BS mode draws the vehicle count as
-    Poisson(vns_per_mmw_bs * mean_mmw_bs), i.e. against the mmWave tier's
-    expected station count so the two point processes stay independent;
-    FIXED places exactly fixed_vn_count.
-    """
-    if mean_mmw_bs < 0:
-        raise ValueError("mean_mmw_bs must be >= 0")
-    if mode == "PER_MMW_BS":
-        count = int(rng.poisson(vns_per_mmw_bs * mean_mmw_bs))
-    elif mode == "FIXED":
-        count = fixed_vn_count
-    else:
-        raise ValueError(f"unknown vn deployment mode {mode!r}")
-    xy = _uniform_xy(count, area_km2, rng)
-    return xy, rng.choice(4, size=count, p=list(class_probabilities)) + 1
-
-
 def build_snapshot(config: ScenarioConfig, lambda_m: float,
                    rng: np.random.Generator) -> Snapshot:
-    """One network realization: base stations first, then vehicles."""
-    bs_xy, n_lte = deploy_base_stations(
-        config.lte_density_per_km2, lambda_m, config.area_km2, rng)
-    vn_xy, class_k = deploy_vehicles(
-        config.vn_mode, lambda_m * config.area_km2, config.area_km2, rng,
-        vns_per_mmw_bs=config.vns_per_mmw_bs,
-        fixed_vn_count=config.fixed_vn_count,
-        class_probabilities=config.class_probabilities)
+    """One network realization at mmWave density ``lambda_m``, drawn in this
+    order: the LTE tier's count and positions, the mmWave tier's, then the
+    vehicles' count, positions and classes.
+
+    Both tiers are independent PPPs over the square area; empty tiers are
+    valid outcomes and are kept, not redrawn. PER_MMW_BS draws the vehicle
+    count as Poisson(vns_per_mmw_bs * lambda_m * area_km2), against the
+    mmWave tier's expected station count so the two point processes stay
+    independent; FIXED places exactly fixed_vn_count.
+    """
+    area, side = config.area_km2, config.area_side_m
+    tiers = [rng.uniform(0.0, side, size=(int(rng.poisson(density * area)), 2))
+             for density in (config.lte_density_per_km2, lambda_m)]
+    if config.vn_mode == "FIXED":
+        n_vn = config.fixed_vn_count
+    else:
+        n_vn = int(rng.poisson(config.vns_per_mmw_bs * (lambda_m * area)))
+    vn_xy = rng.uniform(0.0, side, size=(n_vn, 2))
+    class_k = rng.choice(N_CLASSES, size=n_vn, p=list(config.class_probabilities)) + 1
     required = np.asarray(config.class_requirements_bps, dtype=float)[class_k - 1]
-    return Snapshot(bs_xy, n_lte, vn_xy, class_k, required,
+    return Snapshot(np.concatenate(tiers), len(tiers[0]), vn_xy, class_k, required,
                     config.resolved_measurement_region())

@@ -164,7 +164,7 @@ class TestLinkTable:
     def test_empty_snapshot_gives_empty_table(self, rng):
         cfg = ScenarioConfig(vn_mode="FIXED", fixed_vn_count=0)
         snap = build_snapshot(cfg, 4.0, rng)
-        table = build_link_table(snap, rng, cfg.channel)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         assert table.n_vn == 0
         assert table.unit_rate_bps.shape == (0, table.n_bs)
 
@@ -174,7 +174,7 @@ class TestLinkTable:
         def build():
             snap = build_snapshot(cfg, 8.0, np.random.default_rng(7))
             rng = np.random.default_rng(8)
-            table = build_link_table(snap, rng, cfg.channel)
+            table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
             # the links drawn in LOS, read off the SNR against the LOS budget
             los = table.snr_db == los_snr_db(snap, cfg.channel)
             return table, los, rng.bit_generator.state
@@ -189,7 +189,7 @@ class TestLinkTable:
         cfg = ScenarioConfig(
             channel=ChannelParams(los_probability_override=1.0))
         snap = build_snapshot(cfg, 20.0, rng)
-        table = build_link_table(snap, rng, cfg.channel)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         assert table.n_vn and table.n_bs
         assert np.array_equal(table.snr_db, los_snr_db(snap, cfg.channel))
 
@@ -199,7 +199,7 @@ class TestLinkTable:
         cfg = ScenarioConfig(
             channel=ChannelParams(los_probability_override=1.0))
         snap = build_snapshot(cfg, 8.0, rng)
-        table = build_link_table(snap, rng, cfg.channel)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         gain_db = table.snr_db - los_snr_db(snap, cfg.channel, unit_gain=True)
         if table.lte_indices.size:
             assert np.allclose(gain_db[:, table.is_lte], 0.0, rtol=0, atol=1e-9)
@@ -214,7 +214,8 @@ class TestLinkTable:
             cfg = ScenarioConfig(channel=ChannelParams(
                 mmw=replace(ChannelParams().mmw, array_elements=elements)))
             rng = np.random.default_rng(21)
-            return build_link_table(build_snapshot(cfg, 40.0, rng), rng, cfg.channel)
+            return build_link_table(build_snapshot(cfg, 40.0, rng), rng, cfg.channel,
+                                    cfg.snr_threshold_db)
 
         big, small = build(64), build(16)
         lte = big.is_lte
@@ -227,7 +228,8 @@ class TestLinkTable:
     def test_unit_rate_is_tier_bandwidth_times_spectral_efficiency(self, lam):
         cfg = ScenarioConfig()
         rng = np.random.default_rng(int(lam))
-        table = build_link_table(build_snapshot(cfg, lam, rng), rng, cfg.channel)
+        table = build_link_table(build_snapshot(cfg, lam, rng), rng, cfg.channel,
+                                 cfg.snr_threshold_db)
         bandwidth = np.where(table.is_lte, cfg.channel.lte.bandwidth_hz,
                              cfg.channel.mmw.bandwidth_hz)
         served = table.snr_db >= table.snr_threshold_db
@@ -241,7 +243,8 @@ class TestLinkTable:
 
     def test_holds_only_what_the_rules_read(self, rng):
         cfg = ScenarioConfig()
-        table = build_link_table(build_snapshot(cfg, 8.0, rng), rng, cfg.channel)
+        table = build_link_table(build_snapshot(cfg, 8.0, rng), rng, cfg.channel,
+                                 cfg.snr_threshold_db)
         assert set(vars(table)) == {
             "n_vn", "n_bs", "snr_db", "unit_rate_bps", "is_lte", "lte_indices",
             "required_rate_bps", "snr_threshold_db"}
@@ -267,7 +270,7 @@ class TestLinkTable:
     def test_unit_rate_matches_scalar_contract(self, rng):
         cfg = ScenarioConfig()
         snap = build_snapshot(cfg, 8.0, rng)
-        table = build_link_table(snap, rng, cfg.channel)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         for vn in range(0, table.n_vn, 37):
             for bs in range(table.n_bs):
                 radio = cfg.channel.lte if table.is_lte[bs] else cfg.channel.mmw

@@ -1,18 +1,19 @@
 import io
 import json
 import re
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import pytest
 
 from v2isim import (
     ChannelParams,
     ConfigError,
+    Policy,
     ScenarioConfig,
     TierRadio,
     config_from_dict,
     load_config,
-    validate_config,
+    run_once,
 )
 
 
@@ -99,7 +100,7 @@ class TestValidation:
     def test_class_vectors_need_four_entries(self, key, short):
         # a ScenarioConfig built in Python skips the parser's length check
         with pytest.raises(ConfigError, match=f"{key}: expected 4 entries"):
-            validate_config(ScenarioConfig(**{key: short}))
+            ScenarioConfig(**{key: short})
 
     def test_shadow_fading_reserved(self):
         # shadow fading is not modelled; the key is not part of the schema
@@ -119,7 +120,7 @@ class TestValidation:
     @pytest.mark.parametrize("key,bad", [
         ("channel.lte.bandwidth_hz", 0.0), ("channel.mmw.bandwidth_hz", -1e9),
         ("channel.lte.carrier_hz", 0.0), ("channel.mmw.carrier_hz", -28e9),
-        ("channel.lte.array_elements", 0), ("channel.mmw.array_elements", 0),
+        ("channel.lte.array_elements", 64), ("channel.mmw.array_elements", 0),
         ("channel.bs_height_m", -1.0), ("channel.vn_height_m", -0.5),
     ])
     def test_tier_radio_and_height_checks_name_the_key(self, key, bad):
@@ -245,3 +246,79 @@ class TestSchema:
         assert set(doc["channel"]) == {f.name for f in fields(ChannelParams)}
         for tier in ("lte", "mmw"):
             assert set(doc["channel"][tier]) == {f.name for f in fields(TierRadio)}
+
+
+# one invalid value for every check of validate_config, with its message
+INVALID = [
+    ("area_km2", 0.0, "area_km2: must be > 0"),
+    ("lte_density_per_km2", -1.0, "lte_density_per_km2: must be >= 0"),
+    ("mmw_density_grid_per_km2", (), "mmw_density_grid_per_km2: must be non-empty"),
+    ("mmw_density_grid_per_km2", (4.0, -4.0),
+     "mmw_density_grid_per_km2: densities must be finite and >= 0"),
+    ("mmw_density_grid_per_km2", (4.0, 8.0, 4.0), "mmw_density_grid_per_km2: duplicate entry"),
+    ("policies", (), "policies: must be non-empty"),
+    ("policies", ("MS", "XX"), "policies: unknown policy 'XX'"),
+    ("policies", ("MS", "MS"), "policies: duplicate entry"),
+    ("vn_mode", "GRID", "vn_mode: must be one of ('PER_MMW_BS', 'FIXED')"),
+    ("vns_per_mmw_bs", -1.0, "vns_per_mmw_bs: must be >= 0"),
+    ("fixed_vn_count", -1, "fixed_vn_count: must be >= 0"),
+    ("n_sim", 0, "n_sim: must be >= 1"),
+    ("master_seed", -1, "master_seed: must be >= 0"),
+    ("class_requirements_bps", (1e6, 1e7), "class_requirements_bps: expected 4 entries, got 2"),
+    ("class_probabilities", (0.5, 0.5), "class_probabilities: expected 4 entries, got 2"),
+    ("class_requirements_bps", (1e6, -1e7, 1e8, 1e9),
+     "class_requirements_bps: rates must be >= 0"),
+    ("class_probabilities", (-0.25, 0.5, 0.5, 0.25), "class_probabilities: must be >= 0"),
+    ("class_probabilities", (0.5, 0.5, 0.5, 0.5),
+     "class_probabilities: must sum to 1 within 1e-9"),
+    ("no_change_window_multiplier", 0.0, "no_change_window_multiplier: must be > 0"),
+    ("pick_cap_multiplier", -1.0, "pick_cap_multiplier: must be > 0"),
+    ("measurement_region_m", (700.0, 200.0, 250.0, 750.0),
+     "measurement_region_m: must be a non-empty rectangle inside the area"),
+    ("channel.lte.bandwidth_hz", 0.0, "channel.lte.bandwidth_hz: must be > 0"),
+    ("channel.mmw.carrier_hz", -28e9, "channel.mmw.carrier_hz: must be > 0"),
+    ("channel.lte.array_elements", 64,
+     "channel.lte.array_elements: must be 1 (LTE is omnidirectional)"),
+    ("channel.mmw.array_elements", 0, "channel.mmw.array_elements: must be >= 1"),
+    ("channel.vn_array_elements", 0, "channel.vn_array_elements: must be >= 1"),
+    ("channel.min_distance_m", 0.0, "channel.min_distance_m: must be > 0"),
+    ("channel.vn_height_m", -0.5, "channel.vn_height_m: must be >= 0"),
+    ("channel.los_probability_override", 1.5,
+     "channel.los_probability_override: must lie in [0, 1]"),
+    ("snr_threshold_db", float("nan"), "snr_threshold_db: must be finite"),
+]
+
+
+def keyword(key, value):
+    """The ScenarioConfig keyword argument that sets dotted ``key``."""
+    def set_in(obj, parts):
+        if not parts:
+            return value
+        return replace(obj, **{parts[0]: set_in(getattr(obj, parts[0]), parts[1:])})
+    head, *rest = key.split(".")
+    return {head: set_in(getattr(ScenarioConfig(), head), rest)}
+
+
+class TestOneGate:
+    """Every way of building a ScenarioConfig runs the same checks."""
+
+    @pytest.mark.parametrize("key,bad,message", INVALID,
+                             ids=[f"{k}={v!r}" for k, v, _ in INVALID])
+    def test_every_path_raises_the_same_message(self, key, bad, message):
+        builds = {
+            "config_from_dict": lambda: config_from_dict(nested(key, bad)),
+            "constructor": lambda: ScenarioConfig(**keyword(key, bad)),
+            "replace": lambda: replace(ScenarioConfig(), **keyword(key, bad)),
+        }
+        for path, build in builds.items():
+            with pytest.raises(ConfigError) as error:
+                build()
+            assert str(error.value) == message, path
+
+    def test_no_run_starts_from_an_invalid_config(self):
+        # a NaN threshold puts no link in outage, so this run would attach
+        # every vehicle and report converged after one pick
+        with pytest.raises(ConfigError, match="n_sim"):
+            run_once(ScenarioConfig(no_change_window_multiplier=-5.0,
+                                    snr_threshold_db=float("nan"), n_sim=0),
+                     40.0, Policy.MR, 0)
