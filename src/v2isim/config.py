@@ -8,6 +8,7 @@ that read one trust its values.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -124,13 +125,20 @@ def _to_dict(obj: Any) -> Any:
     return obj
 
 
+@functools.cache
+def _field_types(cls: type) -> dict[str, Any]:
+    """The declared type of each field of a config dataclass; resolving the
+    annotations costs more than checking a whole config, so once per class."""
+    return get_type_hints(cls)
+
+
 def _parse(value: Any, kind: Any, base: Any, path: str) -> Any:
     """Convert one JSON value to the field type ``kind``; ``base`` is the
     field's current value, which a nested object's absent keys keep."""
     if is_dataclass(kind):
         if not isinstance(value, dict):
             raise ConfigError(f"{path or 'top level'}: expected an object")
-        hints = get_type_hints(kind)
+        hints = _field_types(kind)
         unknown = sorted(set(value) - set(hints))
         if unknown:
             raise ConfigError(f"unknown key: {path + '.' if path else ''}{unknown[0]}")
@@ -138,23 +146,46 @@ def _parse(value: Any, kind: Any, base: Any, path: str) -> Any:
             key: _parse(item, hints[key], getattr(base, key),
                         f"{path}.{key}" if path else key)
             for key, item in value.items()})
+    return _leaf(value, kind, path, (list, tuple))
+
+
+def _leaf(value: Any, kind: Any, path: str, sequences: tuple[type, ...]) -> Any:
+    """``value`` as the type ``kind`` of a field that is not a dataclass: a
+    number (an int or a float, not a bool) for float, exactly an int or a str
+    for int and str, None or the type for an optional field, and one of
+    ``sequences`` of such entries for a tuple."""
     if get_origin(kind) in (Union, types.UnionType):  # X | None
         if value is None:
             return None
         kind = next(arg for arg in get_args(kind) if arg is not type(None))
     if get_origin(kind) is tuple:
         args = get_args(kind)
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if not isinstance(value, sequences):
+            raise ConfigError(f"{path}: expected a {sequences[0].__name__}, got {value!r}")
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
-        return tuple(_parse(v, args[0], None, f"{path}[{i}]") for i, v in enumerate(value))
+        return tuple(_leaf(v, args[0], f"{path}[{i}]", sequences)
+                     for i, v in enumerate(value))
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if kind in (int, str) and type(value) is kind:
         return value
     expected = {float: "a number", int: "an integer", str: "a string"}[kind]
     raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
+def _check_types(obj: Any, prefix: str = "") -> None:
+    """Raise ConfigError naming the first field of the config dataclass
+    ``obj`` that holds a value its type does not take, by the JSON parser's
+    rules, except that a tuple field takes a tuple only."""
+    for key, kind in _field_types(type(obj)).items():
+        value, path = getattr(obj, key), prefix + key
+        if not is_dataclass(kind):
+            _leaf(value, kind, path, (tuple,))
+        elif isinstance(value, kind):
+            _check_types(value, path + ".")
+        else:
+            raise ConfigError(f"{path}: expected a {kind.__name__}, got {value!r}")
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
@@ -174,7 +205,9 @@ def _require(cond: bool, msg: str) -> None:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError naming the offending key on any invariant violation;
-    ScenarioConfig runs it on construction."""
+    ScenarioConfig runs it on construction. Types are checked first, so the
+    value checks below compare numbers and strings only."""
+    _check_types(cfg)
     _require(cfg.area_km2 > 0, "area_km2: must be > 0")
     _require(cfg.lte_density_per_km2 >= 0, "lte_density_per_km2: must be >= 0")
     _require(len(cfg.mmw_density_grid_per_km2) > 0, "mmw_density_grid_per_km2: must be non-empty")
@@ -191,9 +224,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(cfg.fixed_vn_count >= 0, "fixed_vn_count: must be >= 0")
     _require(cfg.n_sim >= 1, "n_sim: must be >= 1")
     _require(cfg.master_seed >= 0, "master_seed: must be >= 0")
-    for key in ("class_requirements_bps", "class_probabilities"):
-        count = len(getattr(cfg, key))
-        _require(count == N_CLASSES, f"{key}: expected {N_CLASSES} entries, got {count}")
     _require(all(r >= 0 for r in cfg.class_requirements_bps),
              "class_requirements_bps: rates must be >= 0")
     _require(all(p >= 0 for p in cfg.class_probabilities),

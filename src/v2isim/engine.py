@@ -9,9 +9,12 @@ deterministic in their seed; campaign seeds are derived per
 The engine calls the attachment rules only through
 ``policy.POLICY_KERNELS``, looked up at each call, and a call evaluates the
 rule for a block of vehicles at once. The reassignment loop evaluates it
-once for every vehicle and then once per move; the other picks change
-nothing, so they are counted without an evaluation, and the loop returns
-exactly what a loop evaluating every pick would return.
+once for every vehicle and then once per move, for exactly the vehicles
+whose choice the move can change (``policy.unsettled``): a move changes
+the post-join rate of the station it leaves and of the one it joins, and
+nothing else. The other picks change nothing, so they are counted without
+an evaluation, and the loop returns exactly what a loop evaluating every
+pick would return.
 """
 from __future__ import annotations
 
@@ -24,12 +27,13 @@ import numpy as np
 from .channel import LinkTable, build_link_table
 from .config import POLICY_NAMES, ScenarioConfig
 from .geometry import Snapshot, build_snapshot
-from .policy import NO_BS, POLICY_KERNELS, Policy, unsettled
+from .policy import NO_BS, POLICY_KERNELS, Policy, choice_rates, unsettled
 
 TIER_NONE, TIER_LTE, TIER_MMWAVE = 0, 1, 2
 TIER_NAMES = {TIER_NONE: "NONE", TIER_LTE: "LTE", TIER_MMWAVE: "MMWAVE"}
 
 _PICK_BATCH = 4096
+_SCAN_WIDTH = 64
 _ATTACH_BLOCK = 32
 
 
@@ -133,12 +137,18 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     ceil(cap_multiplier * M) total picks. Returns (state, picks, converged).
 
     The rule is evaluated once for every vehicle, then once per move. A
-    ``choice`` vector holds each vehicle's current choice and a ``dirty``
-    mask the vehicles whose choice differs from their station. A pick of a
-    clean vehicle changes nothing and only counts toward ``picks`` and the
-    no-change streak; a dirty pick moves to its ``choice``. After each move
-    the dirty vehicles and those the move may have unsettled are
-    re-evaluated in one call. Picks are drawn in the same blocks from the
+    ``choice`` vector holds each vehicle's current choice, ``chosen`` the
+    post-join rate of that choice, and a ``dirty`` mask the vehicles whose
+    choice differs from their station. A pick of a clean vehicle changes
+    nothing and only counts toward ``picks`` and the no-change streak; a
+    dirty pick moves to its ``choice``. A move from ``a`` to ``b`` changes
+    the post-join rate at ``a`` and ``b`` only, so after it the rule is
+    re-evaluated for exactly the vehicles ``policy.unsettled`` flags: those
+    choosing ``b``, and those for which ``a`` now ties or beats their
+    choice (under RA: or their required rate). Every other choice, dirty or
+    not, compares the same rates as before and stays exact. ``chosen`` is
+    refreshed for the flagged vehicles and those choosing ``a``, the only
+    entries the move changed. Picks are drawn in the same blocks from the
     same generator as a loop that evaluates every pick, so the result is
     the same. Once no vehicle is dirty, every further pick would change
     nothing and the remaining count is added without drawing: MS, whose
@@ -151,8 +161,12 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     window = max(1, math.ceil(no_change_window_multiplier * m))
     cap = max(1, math.ceil(pick_cap_multiplier * m))
     assignment, loads = state.assignment, state.loads
-    choice = POLICY_KERNELS[policy](link_table, assignment, loads, np.arange(m))
+    everyone = np.arange(m)
+    choice = POLICY_KERNELS[policy](link_table, assignment, loads, everyone)
     dirty = choice != assignment
+    # the rates of the choices count only once a vehicle moves
+    chosen = (choice_rates(link_table, assignment, loads, everyone, choice)
+              if dirty.any() else None)
     picks = 0
     streak = 0
     while picks < cap and streak < window:
@@ -165,14 +179,15 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
         batch = rng.integers(0, m, size=min(_PICK_BATCH, cap - picks))
         done = 0
         while streak < window:
-            ahead = np.flatnonzero(dirty[batch[done:]])
-            if ahead.size == 0 or streak + ahead[0] >= window:
+            # a dirty pick past the end of the window is never reached
+            stop = min(batch.size, done + window - streak)
+            at = _next_dirty(dirty, batch, done, stop)
+            if at == stop:
                 break
-            # the picks before the next dirty one change nothing
-            clean = int(ahead[0])
-            vn = int(batch[done + clean])
-            picks += clean + 1
-            done += clean + 1
+            # the picks before it change nothing
+            vn = int(batch[at])
+            picks += at - done + 1
+            done = at + 1
             streak = 0
             old, new = int(assignment[vn]), int(choice[vn])
             if old != NO_BS:
@@ -181,17 +196,40 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
                 loads[new] += 1
             assignment[vn] = new
             dirty[vn] = False
-            recheck = np.flatnonzero(
-                dirty | unsettled(link_table, policy, assignment, loads, old, new))
+            flagged = unsettled(link_table, policy, assignment, loads,
+                                choice, chosen, old, new)
+            # ndarray.nonzero skips the ravel and dispatch of np.flatnonzero,
+            # about a tenth of this loop
+            recheck = flagged.nonzero()[0]
             choice[recheck] = POLICY_KERNELS[policy](link_table, assignment,
                                                      loads, recheck)
             dirty[recheck] = choice[recheck] != assignment[recheck]
+            if old != NO_BS:
+                flagged |= choice == old
+            fresh = flagged.nonzero()[0]
+            chosen[fresh] = choice_rates(link_table, assignment, loads, fresh,
+                                         choice[fresh])
         rest = min(batch.size - done, window - streak)
         picks += rest
         streak += rest
     if __debug__:
         state.check()
     return state, picks, streak >= window
+
+
+def _next_dirty(dirty: np.ndarray, batch: np.ndarray, start: int,
+                stop: int) -> int:
+    """Index of the first pick of a dirty vehicle in ``batch[start:stop]``,
+    or ``stop``. The scan reads windows that grow fourfold, so a near dirty
+    pick, the common case while vehicles move, costs a short gather."""
+    width = _SCAN_WIDTH
+    while start < stop:
+        end = min(start + width, stop)
+        hit = dirty[batch[start:end]].nonzero()[0]
+        if hit.size:
+            return start + int(hit[0])
+        start, width = end, width * 4
+    return stop
 
 
 def realized_rates(state: AssociationState, link_table: LinkTable) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""The three attachment decision rules, and which vehicles a move unsettles.
+"""The three attachment decision rules, the rate of a choice, and which
+vehicles a move unsettles.
 
 Each rule is a kernel in ``POLICY_KERNELS``:
 ``kernel(table, assignment, loads, rows)`` returns, for each vehicle in
@@ -41,7 +42,7 @@ def _post_join_rates(table: LinkTable, assignment: np.ndarray,
     unit = table.unit_rate_bps[rows]
     rates = unit / (loads + 1.0)
     own = assignment[rows]
-    on = np.flatnonzero(own != NO_BS)
+    on = (own != NO_BS).nonzero()[0]
     # without the vehicle its own station is at loads - 1, so loads[own] - 1 + 1.0
     rates[on, own[on]] = unit[on, own[on]] / loads[own[on]]
     return rates
@@ -84,30 +85,51 @@ POLICY_KERNELS = {
 }
 
 
-def unsettled(table: LinkTable, policy: Policy, assignment: np.ndarray,
-              loads: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Mask of the vehicles whose choice may differ after one vehicle moved
-    from station ``a`` to ``b`` (``assignment`` and ``loads`` already
-    updated).
+def choice_rates(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
+                 rows: np.ndarray, choice: np.ndarray) -> np.ndarray:
+    """rates[i]: the post-join rate vehicle ``rows[i]`` gets at station
+    ``choice[i]`` at ``loads`` without it, the same float the rules compare;
+    0 where the choice is ``NO_BS``."""
+    rates = np.zeros(rows.size)
+    on = (choice != NO_BS).nonzero()[0]
+    vn, bs = rows[on], choice[on]
+    rates[on] = table.unit_rate_bps[vn, bs] / (loads[bs] + (assignment[vn] != bs))
+    return rates
 
-    MS ignores loads, so nobody. Otherwise every vehicle on ``b``, which
-    lost rate, and every vehicle off ``a`` for which ``a`` at its new load
-    rates at least as high as its own station; under RA also those for
-    which LTE cell ``a`` now beats the required rate. A vehicle on ``a``
-    only gained, and no other station changed.
+
+def unsettled(table: LinkTable, policy: Policy, assignment: np.ndarray,
+              loads: np.ndarray, choice: np.ndarray, chosen: np.ndarray,
+              a: int, b: int) -> np.ndarray:
+    """Mask of the vehicles whose choice may change after one vehicle moved
+    from station ``a`` to ``b`` (``assignment`` and ``loads`` already
+    updated). ``choice`` is each vehicle's choice before the move and
+    ``chosen`` its post-join rate there; an entry may be too low, never too
+    high, which only widens the mask.
+
+    The move changes the post-join rate at two stations only: ``a`` rises
+    and ``b`` falls. MS ignores loads, so nobody. Otherwise the mask holds
+    every vehicle choosing ``b``, and every vehicle not choosing ``a`` for
+    which ``a`` now offers a positive rate at least ``chosen`` (a tie goes
+    to the lower id). Under RA a vehicle is served when its choice is an
+    LTE cell above its required rate: it takes the best LTE cell, which a
+    rise at a mmWave ``a`` cannot change, so served vehicles are dropped
+    then; when ``a`` is LTE, the unserved vehicles for which it now beats
+    the required rate are added. Every other vehicle compares the same
+    rates as before, so its choice stands.
     """
     m = assignment.size
     if policy is Policy.MS:
         return np.zeros(m, dtype=bool)
-    mask = assignment == b if b != NO_BS else np.zeros(m, dtype=bool)
-    if a != NO_BS:
-        unit = table.unit_rate_bps
-        at_a = unit[:, a] / (loads[a] + 1.0)
-        on = np.flatnonzero(assignment != NO_BS)
-        current = np.zeros(m)
-        current[on] = unit[on, assignment[on]] / loads[assignment[on]]
-        drawn = (at_a >= current) & (at_a > 0.0)
-        if policy is Policy.RA and table.is_lte[a]:
-            drawn |= at_a > table.required_rate_bps
-        mask |= drawn & (assignment != a)
-    return mask
+    mask = choice == b if b != NO_BS else np.zeros(m, dtype=bool)
+    if a == NO_BS:
+        return mask
+    at_a = table.unit_rate_bps[:, a] / (loads[a] + (assignment != a))
+    drawn = (at_a >= chosen) & (at_a > 0.0)
+    if policy is Policy.RA:
+        served = ((choice != NO_BS) & table.is_lte[choice]
+                  & (chosen > table.required_rate_bps))
+        if table.is_lte[a]:
+            drawn |= ~served & (at_a > table.required_rate_bps)
+        else:
+            drawn &= ~served
+    return mask | (drawn & (choice != a))

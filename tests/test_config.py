@@ -200,10 +200,13 @@ def nested(key, value):
 
 LEAVES = sorted(leaf_fields(ScenarioConfig()))
 
-# every float leaf, the optional ones set so that their type shows
-FLOAT_LEAVES = [(key, value) for key, value in sorted(leaf_fields(
+# every leaf, the optional ones set so that their type shows
+TYPED_LEAVES = sorted(leaf_fields(
     ScenarioConfig(channel=ChannelParams(los_probability_override=0.5)).resolved()))
-    if isinstance(value, float) or (isinstance(value, tuple) and isinstance(value[0], float))]
+
+FLOAT_LEAVES = [(key, value) for key, value in TYPED_LEAVES
+                if isinstance(value, float)
+                or (isinstance(value, tuple) and isinstance(value[0], float))]
 
 
 def with_first(value, bad):
@@ -322,3 +325,39 @@ class TestOneGate:
             run_once(ScenarioConfig(no_change_window_multiplier=-5.0,
                                     snr_threshold_db=float("nan"), n_sim=0),
                      40.0, Policy.MR, 0)
+
+    @pytest.mark.parametrize("key,default", TYPED_LEAVES,
+                             ids=[k for k, _ in TYPED_LEAVES])
+    def test_wrong_type_raises_the_parser_message(self, key, default):
+        # the JSON value as a Python value: a tuple field gets a tuple
+        bad = wrong_type(default)
+        with pytest.raises(ConfigError) as parsed:
+            config_from_dict(nested(key, bad))
+        value = tuple(bad) if isinstance(bad, list) else bad
+        builds = {
+            "constructor": lambda: ScenarioConfig(**keyword(key, value)),
+            "replace": lambda: replace(ScenarioConfig(), **keyword(key, value)),
+        }
+        for path, build in builds.items():
+            with pytest.raises(ConfigError) as error:
+                build()
+            assert str(error.value) == str(parsed.value), path
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # this one used to build and then die in run_campaign with a TypeError
+        (dict(n_sim=2.5, mmw_density_grid_per_km2=(4.0,), policies=("MS",)),
+         "n_sim: expected an integer, got 2.5"),
+        (dict(mmw_density_grid_per_km2=[4.0]),
+         "mmw_density_grid_per_km2: expected a tuple, got [4.0]"),
+        (dict(measurement_region_m="x"), "measurement_region_m: expected a tuple, got 'x'"),
+        (dict(channel=5), "channel: expected a ChannelParams, got 5"),
+        (dict(area_km2=True), "area_km2: expected a number, got True"),
+        (dict(master_seed=True), "master_seed: expected an integer, got True"),
+    ])
+    def test_wrong_type_built_in_python_names_the_key(self, kwargs, message):
+        with pytest.raises(ConfigError) as error:
+            ScenarioConfig(**kwargs)
+        assert str(error.value) == message
+
+    def test_int_is_a_number(self):
+        assert ScenarioConfig(area_km2=1, class_probabilities=(1, 0, 0, 0)).area_km2 == 1

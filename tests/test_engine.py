@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from v2isim import (
+    NO_BS,
     POLICY_KERNELS,
     AssociationState,
     Policy,
@@ -18,6 +19,7 @@ from v2isim import (
     steady_state,
 )
 from v2isim.engine import _ATTACH_BLOCK
+from v2isim.policy import choice_rates, unsettled
 from conftest import make_table
 import oracles
 
@@ -31,10 +33,13 @@ SNR_GRID = [-30.0, -5.0, 0.0, 10.0, 20.0]
 
 
 @st.composite
-def micro_tables(draw, n_vn=st.integers(1, 7), n_bs=st.integers(0, 4)):
+def micro_tables(draw, n_vn=st.integers(1, 7), n_bs=st.integers(0, 4),
+                 twins=False):
     """Small link tables with exact ties: LTE-less, LTE-only or mixed, some
     rows fully in outage, possibly no station at all, and required rates
-    that can equal an LTE post-join rate exactly."""
+    that can equal an LTE post-join rate exactly. With ``twins``, a station
+    may be a copy of the one before it, so that every vehicle ties them at
+    equal loads."""
     n_vn = draw(n_vn)
     n_bs = draw(n_bs)
     mixed = draw(st.lists(st.booleans(), min_size=n_bs, max_size=n_bs))
@@ -43,6 +48,9 @@ def micro_tables(draw, n_vn=st.integers(1, 7), n_bs=st.integers(0, 4)):
     snr = np.array(draw(st.lists(
         st.lists(st.sampled_from(SNR_GRID), min_size=n_bs, max_size=n_bs),
         min_size=n_vn, max_size=n_vn)), dtype=float).reshape(n_vn, n_bs)
+    if twins and n_bs >= 2 and draw(st.booleans()):
+        j = draw(st.integers(0, n_bs - 2))
+        snr[:, j + 1], bw[j + 1], is_lte[j + 1] = snr[:, j], bw[j], is_lte[j]
     for vn in draw(st.sets(st.integers(0, n_vn - 1))):
         snr[vn] = -30.0
     table = make_table(snr, bw, is_lte)
@@ -100,6 +108,14 @@ def assert_attach_is_greedy_pass(table, policy):
     assert np.array_equal(got.loads, want.loads)
     assert (got.assignment.dtype, got.loads.dtype) == (np.int64, np.int64)
     return got
+
+
+def loads_without(assignment, loads, vn):
+    """The loads the rule sees for ``vn``: its own station counted without it."""
+    without = loads.copy()
+    if assignment[vn] != NO_BS:
+        without[assignment[vn]] -= 1
+    return without
 
 
 def run_engine(table, policy, seed=0, window=50.0, cap=400.0):
@@ -312,6 +328,35 @@ class TestSteadyState:
         else:
             assert 0 < sum(moves) < 0.1 * picks
 
+    @pytest.mark.parametrize("policy", [Policy.MR, Policy.RA])
+    @pytest.mark.parametrize("lam", [40.0, 80.0])
+    def test_few_rows_per_move(self, lam, policy):
+        # per-move work without timing: after its first evaluation the loop
+        # passes the rule only what a move can change, about a dozen rows
+        # per move here; re-checking every dirty vehicle as well took 45-193
+        cfg = ScenarioConfig(master_seed=7)
+        kernel, rows = POLICY_KERNELS[policy], []
+
+        def counted(table, assignment, loads, recheck):
+            rows.append(recheck.size)
+            return kernel(table, assignment, loads, recheck)
+
+        moved = rechecked = 0
+        for run in range(5):
+            rng = np.random.default_rng(derive_run_seed(7, lam, policy, run))
+            snap = build_snapshot(cfg, lam, rng)
+            table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+            state = initial_attach(snap, table, policy)
+            rows.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setitem(POLICY_KERNELS, policy, counted)
+                steady_state(state, snap, table, policy, rng)
+            assert rows[0] == table.n_vn
+            moved += len(rows) - 1
+            rechecked += sum(rows[1:])
+        assert moved > 0
+        assert rechecked / moved <= 30
+
     def test_load_consistency_after_dynamics(self, rng):
         for _ in range(20):
             n_vn = int(rng.integers(1, 30))
@@ -341,11 +386,70 @@ class TestBestResponses:
         got = POLICY_KERNELS[policy](table, state.assignment, loads, rows)
         assert got.shape == rows.shape and got.dtype == np.int64
         for vn, choice in zip(rows, got):
-            own = state.assignment[vn]
-            without = loads.copy()
-            if own >= 0:
-                without[own] -= 1
+            without = loads_without(state.assignment, loads, vn)
             assert choice == oracles.REFERENCE_RULES[policy](table, vn, without)
+
+
+class TestUnsettled:
+    def test_freed_lte_cell_can_serve_a_vehicle_it_does_not_draw(self):
+        # vehicle 1 keeps mmWave station 2 over any LTE rate, but once
+        # vehicle 0 leaves LTE cell 0 that cell beats vehicle 1's 5 Mbit/s
+        # requirement, and RA moves it there: only the required-rate term
+        # of the mask flags it
+        table = make_table([[-30.0, 20.0, -30.0], [-5.0, -30.0, 20.0]],
+                           [20e6, 1e9, 1e9], [True, False, False], [0.0, 5e6])
+        state = AssociationState(np.array([0, 2]), np.array([1, 0, 1]))
+        rows = np.arange(2)
+        choice = POLICY_KERNELS[Policy.RA](table, state.assignment, state.loads, rows)
+        assert list(choice) == [1, 2]
+        chosen = choice_rates(table, state.assignment, state.loads, rows, choice)
+        state.assignment[0], state.loads[:] = 1, [0, 1, 1]
+        assert list(POLICY_KERNELS[Policy.RA](
+            table, state.assignment, state.loads, rows)) == [1, 0]
+        mask = unsettled(table, Policy.RA, state.assignment, state.loads,
+                         choice, chosen, 0, 1)
+        assert mask[1]
+
+    @settings(PROPERTY_SETTINGS, suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)))
+    def test_flags_every_choice_a_move_changes(self, data, policy):
+        # the recheck set is exact: after one move of a dirty vehicle, a
+        # vehicle left out of the mask still makes its stored choice; each
+        # dirty vehicle of the drawn state makes that move in turn
+        table = data.draw(micro_tables(twins=True))
+        state = data.draw(states(table, policy))
+        rule = oracles.REFERENCE_RULES[policy]
+        everyone = np.arange(table.n_vn)
+        before = [loads_without(state.assignment, state.loads, vn) for vn in everyone]
+        choice = np.array([rule(table, vn, before[vn]) for vn in everyone],
+                          dtype=np.int64)
+        # the post-join rate of each choice, as the reference rule computes it
+        chosen = np.array([
+            0.0 if c == NO_BS else table.unit_rate_bps[vn, c] / (before[vn][c] + 1.0)
+            for vn, c in zip(everyone, choice)])
+        assert np.array_equal(
+            choice_rates(table, state.assignment, state.loads, everyone, choice),
+            chosen)
+        dirty = np.flatnonzero(choice != state.assignment)
+        assume(dirty.size > 0)
+        # an entry of chosen may be too low, never too high
+        if data.draw(st.booleans()):
+            for v in data.draw(st.sets(st.sampled_from(everyone.tolist()))):
+                chosen[v] *= data.draw(st.sampled_from([0.0, 0.5]))
+        for vn in dirty:
+            assignment, loads = state.assignment.copy(), state.loads.copy()
+            a, b = int(assignment[vn]), int(choice[vn])
+            if a != NO_BS:
+                loads[a] -= 1
+            if b != NO_BS:
+                loads[b] += 1
+            assignment[vn] = b
+            mask = unsettled(table, policy, assignment, loads, choice, chosen, a, b)
+            assert mask.shape == (table.n_vn,) and mask.dtype == bool
+            for v in everyone:
+                if rule(table, v, loads_without(assignment, loads, v)) != choice[v]:
+                    assert mask[v], (vn, v, a, b)
 
 
 class TestRunOnce:
