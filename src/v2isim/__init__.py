@@ -3,7 +3,6 @@ in heterogeneous LTE + mmWave networks."""
 from ._version import __version__
 from .channel import (
     LinkTable,
-    achievable_rate,
     build_link_table,
     cumulative_gain,
     los_probability_lte,
@@ -49,11 +48,11 @@ __all__ = [
     "__version__", "AssociationState", "CellSummary", "ChannelParams",
     "ConfigError", "CSV_COLUMNS", "LinkTable", "NO_BS", "POLICY_KERNELS",
     "Policy", "RunMetrics", "RunResult", "ScenarioConfig", "Snapshot", "Tier",
-    "TierRadio", "achievable_rate", "build_link_table", "build_snapshot",
-    "compute_run_metrics", "config_from_dict", "cumulative_gain",
-    "derive_run_seed", "initial_attach", "jain_index", "load_config",
-    "los_probability_lte", "los_probability_mmw", "lte_ratio",
-    "mean_rate_per_class", "path_loss", "realized_rates", "run_campaign",
-    "run_once", "run_spec", "satisfaction_ratio", "snr_db", "steady_state",
-    "summarize", "worst_decile_mean", "write_results",
+    "TierRadio", "build_link_table", "build_snapshot", "compute_run_metrics",
+    "config_from_dict", "cumulative_gain", "derive_run_seed",
+    "initial_attach", "jain_index", "load_config", "los_probability_lte",
+    "los_probability_mmw", "lte_ratio", "mean_rate_per_class", "path_loss",
+    "realized_rates", "run_campaign", "run_once", "run_spec",
+    "satisfaction_ratio", "snr_db", "steady_state", "summarize",
+    "worst_decile_mean", "write_results",
 ]

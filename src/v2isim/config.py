@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import types
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -95,6 +96,10 @@ class ScenarioConfig:
     channel: ChannelParams = field(default_factory=ChannelParams)
 
     def __post_init__(self) -> None:
+        # an int in a float field becomes a float, so equal configs echo
+        # equal bytes whichever path built them
+        for key, value in _typed_fields(self).items():
+            object.__setattr__(self, key, value)
         validate_config(self)
 
     @property
@@ -164,8 +169,10 @@ def _leaf(value: Any, kind: Any, path: str, sequences: tuple[type, ...]) -> Any:
             raise ConfigError(f"{path}: expected a {sequences[0].__name__}, got {value!r}")
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
-        return tuple(_leaf(v, args[0], f"{path}[{i}]", sequences)
-                     for i, v in enumerate(value))
+        typed = tuple(_leaf(v, args[0], f"{path}[{i}]", sequences)
+                      for i, v in enumerate(value))
+        same = isinstance(value, tuple) and all(map(operator.is_, typed, value))
+        return value if same else typed
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if kind in (int, str) and type(value) is kind:
@@ -174,18 +181,25 @@ def _leaf(value: Any, kind: Any, path: str, sequences: tuple[type, ...]) -> Any:
     raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
-def _check_types(obj: Any, prefix: str = "") -> None:
-    """Raise ConfigError naming the first field of the config dataclass
-    ``obj`` that holds a value its type does not take, by the JSON parser's
-    rules, except that a tuple field takes a tuple only."""
+def _typed_fields(obj: Any, prefix: str = "") -> dict[str, Any]:
+    """The fields of the config dataclass ``obj`` whose values change when
+    made their field's type by the JSON parser's rules (an int in a float
+    field becomes a float), except that a tuple field takes a tuple only.
+    Raise ConfigError naming the first field holding a value its type does
+    not take."""
+    changed = {}
     for key, kind in _field_types(type(obj)).items():
         value, path = getattr(obj, key), prefix + key
         if not is_dataclass(kind):
-            _leaf(value, kind, path, (tuple,))
+            typed = _leaf(value, kind, path, (tuple,))
         elif isinstance(value, kind):
-            _check_types(value, path + ".")
+            inner = _typed_fields(value, path + ".")
+            typed = replace(value, **inner) if inner else value
         else:
             raise ConfigError(f"{path}: expected a {kind.__name__}, got {value!r}")
+        if typed is not value:
+            changed[key] = typed
+    return changed
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
@@ -205,9 +219,8 @@ def _require(cond: bool, msg: str) -> None:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError naming the offending key on any invariant violation;
-    ScenarioConfig runs it on construction. Types are checked first, so the
-    value checks below compare numbers and strings only."""
-    _check_types(cfg)
+    ScenarioConfig runs it on construction, after giving every value its
+    field's type, so the checks below compare numbers and strings only."""
     _require(cfg.area_km2 > 0, "area_km2: must be > 0")
     _require(cfg.lte_density_per_km2 >= 0, "lte_density_per_km2: must be >= 0")
     _require(len(cfg.mmw_density_grid_per_km2) > 0, "mmw_density_grid_per_km2: must be non-empty")

@@ -233,12 +233,14 @@ def _next_dirty(dirty: np.ndarray, batch: np.ndarray, start: int,
 
 
 def realized_rates(state: AssociationState, link_table: LinkTable) -> np.ndarray:
-    """Per-vehicle rates under the final loads; unattached vehicles get 0."""
+    """Per-vehicle rates under the final loads; unattached vehicles get 0.
+    Only the attached links' rates are computed, so an MS run, which reads
+    nothing else of them, never builds the table's ``unit_rate_bps``."""
     rates = np.zeros(link_table.n_vn, dtype=float)
     attached = np.flatnonzero(state.assignment >= 0)
     if attached.size:
         bs = state.assignment[attached]
-        rates[attached] = link_table.unit_rate_bps[attached, bs] / state.loads[bs]
+        rates[attached] = link_table.rates_at(attached, bs) / state.loads[bs]
     return rates
 
 

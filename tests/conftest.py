@@ -20,16 +20,19 @@ def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,
 def los_snr_db(snapshot, params, unit_gain=False) -> np.ndarray:
     """SNR of every (vehicle, station) link of ``snapshot`` as if in LOS,
     recomputed from the snapshot's distances through ``path_loss``,
-    ``cumulative_gain`` (or gain 1 with ``unit_gain``) and ``snr_db``."""
+    ``cumulative_gain`` (or gain 1 with ``unit_gain``) and ``snr_db``. The
+    distances are computed as the table build computes them, operation for
+    operation, so that the result is the build's to the bit."""
     vn, bs = snapshot.vn_xy, snapshot.bs_xy
-    d2d = np.hypot(vn[:, 0, None] - bs[None, :, 0], vn[:, 1, None] - bs[None, :, 1])
-    d3d = np.hypot(d2d, params.vn_height_m - params.bs_height_m)
-    out = np.empty(d2d.shape)
+    dz = params.vn_height_m - params.bs_height_m
+    out = np.empty((vn.shape[0], bs.shape[0]))
     lte = snapshot.is_lte
     for tier, radio, cols in ((Tier.LTE, params.lte, lte), (Tier.MMWAVE, params.mmw, ~lte)):
+        dx, dy = vn[:, 0, None] - bs[cols, 0], vn[:, 1, None] - bs[cols, 1]
+        d3d = np.sqrt(dx * dx + dy * dy + dz * dz)
         gain = 1.0 if unit_gain else cumulative_gain(
             tier, radio.array_elements, params.vn_array_elements)
-        pl = path_loss(tier, True, d3d[:, cols], radio.carrier_hz, params)
+        pl = path_loss(tier, True, d3d, radio.carrier_hz, params)
         out[:, cols] = snr_db(radio.tx_power_dbm, gain, pl, radio.bandwidth_hz,
                               params.noise_psd_dbm_per_hz)
     return out

@@ -16,11 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from v2isim import (
+    AssociationState,
     Policy,
     ScenarioConfig,
-    achievable_rate,
     initial_attach,
     jain_index,
+    realized_rates,
     run_campaign,
     run_once,
     snr_db,
@@ -290,15 +291,22 @@ def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
 @given(snr=st.floats(-5.0, 60.0), bw=st.floats(1e6, 2e9),
        load=st.integers(1, 500))
 def prop_rate_load_doubling_halves_exactly(snr, bw, load):
-    assert achievable_rate(snr, bw, 2 * load) == achievable_rate(snr, bw, load) / 2.0
-    assert achievable_rate(snr - 66.0, bw, load) == 0.0
+    table = make_table([[snr, snr - 66.0]], [bw, bw], [False, False])
+
+    def rate(bs, m):
+        loads = np.zeros(2, dtype=np.int64)
+        loads[bs] = m
+        return realized_rates(AssociationState(np.array([bs]), loads), table)[0]
+
+    assert rate(0, 2 * load) == rate(0, load) / 2.0
+    assert rate(1, load) == 0.0
 
 
 @PROPERTY_SETTINGS
 @given(tx=st.floats(-10.0, 50.0), gain=st.floats(1.0, 4096.0),
        pl=st.floats(30.0, 180.0), bw=st.floats(1e5, 4e9))
 def prop_snr_db_linear_roundtrip(tx, gain, pl, bw):
-    value = snr_db(tx, gain, pl, bw)
+    value = snr_db(tx, gain, pl, bw, -174.0)
     linear = 10.0 ** (value / 10.0)
     direct = (10.0 ** (tx / 10.0) * gain
               / (10.0 ** (pl / 10.0) * 10.0 ** (-174.0 / 10.0) * bw))

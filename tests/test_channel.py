@@ -5,56 +5,67 @@ import numpy as np
 import pytest
 
 from v2isim import (
+    AssociationState,
     ChannelParams,
     ScenarioConfig,
     Tier,
-    achievable_rate,
     build_link_table,
     build_snapshot,
     cumulative_gain,
     los_probability_lte,
     los_probability_mmw,
     path_loss,
+    realized_rates,
     snr_db,
 )
+from v2isim import channel
 from conftest import los_snr_db, make_table
+
+PARAMS = ChannelParams()
+NOISE = PARAMS.noise_psd_dbm_per_hz
+
+
+def shannon(snr_value_db, bandwidth_hz, threshold_db=-5.0):
+    """The rate at load 1 of one link, written out: 0 below the outage
+    threshold, else bandwidth * log2(1 + snr_linear)."""
+    if snr_value_db < threshold_db:
+        return 0.0
+    return bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_value_db / 10.0))
 
 
 class TestLosProbability:
     def test_lte_zero_distance_is_los(self):
-        assert los_probability_lte(0.0) == 1.0
+        # 0.018/0 divides by zero to inf, which the min caps at 1
+        with np.errstate(divide="ignore"):
+            assert los_probability_lte(np.zeros(1))[0] == 1.0
 
     def test_lte_min_term_saturates(self):
         # for d <= 0.018 km the expression collapses to exactly 1
-        assert los_probability_lte(0.018) == pytest.approx(1.0, abs=1e-15)
+        assert los_probability_lte(np.array([0.018]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_lte_at_100m(self):
         # independent evaluation: 0.18*(1-e^(-100/63)) + e^(-100/63)
         decay = math.exp(-0.1 / 0.063)
         expected = 0.18 * (1.0 - decay) + decay
         assert expected == pytest.approx(0.3476708368442312, rel=1e-12)
-        assert los_probability_lte(0.1) == pytest.approx(expected, rel=1e-12)
+        assert los_probability_lte(np.array([0.1]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_mmw_below_knee(self):
-        assert los_probability_mmw(10.0) == 1.0
-        assert los_probability_mmw(18.0) == 1.0
+        d = np.array([0.0, 0.5, 10.0, 17.9, 18.0])
+        with np.errstate(divide="ignore"):
+            assert np.array_equal(los_probability_mmw(d), np.ones(5))
 
     def test_mmw_at_100m(self):
         # independent evaluation: 18/100 + e^(-100/36)*(1-18/100)
         expected = 0.18 + math.exp(-100.0 / 36.0) * 0.82
         assert expected == pytest.approx(0.23098474969813537, rel=1e-12)
-        assert los_probability_mmw(100.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_negative_distance_rejected(self):
-        with pytest.raises(ValueError):
-            los_probability_lte(-0.1)
-        with pytest.raises(ValueError):
-            los_probability_mmw(-1.0)
+        assert los_probability_mmw(np.array([100.0]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_in_unit_interval_out_to_10km(self):
         d_m = np.linspace(0.0, 10_000.0, 5001)
-        p_lte = los_probability_lte(d_m / 1000.0)
-        p_mmw = los_probability_mmw(d_m)
+        with np.errstate(divide="ignore"):
+            p_lte = los_probability_lte(d_m / 1000.0)
+            p_mmw = los_probability_mmw(d_m)
         for p in (p_lte, p_mmw):
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
@@ -62,35 +73,35 @@ class TestLosProbability:
 class TestPathLoss:
     def test_log_distance_doubling(self):
         # doubling distance adds 10*alpha*log10(2) dB with alpha = 2.1
-        pl1 = path_loss(Tier.MMWAVE, True, 100.0, 28e9)
-        pl2 = path_loss(Tier.MMWAVE, True, 200.0, 28e9)
+        pl1 = path_loss(Tier.MMWAVE, True, 100.0, 28e9, PARAMS)
+        pl2 = path_loss(Tier.MMWAVE, True, 200.0, 28e9, PARAMS)
         assert pl2 - pl1 == pytest.approx(21.0 * math.log10(2.0), rel=1e-12)
 
     def test_mmw_nlos_exceeds_los(self):
-        los = path_loss(Tier.MMWAVE, True, 100.0, 28e9)
-        nlos = path_loss(Tier.MMWAVE, False, 100.0, 28e9)
+        los = path_loss(Tier.MMWAVE, True, 100.0, 28e9, PARAMS)
+        nlos = path_loss(Tier.MMWAVE, False, 100.0, 28e9, PARAMS)
         assert nlos > los
         assert nlos - los > 15.0
 
     def test_nlos_never_below_los_any_distance(self):
         d = np.geomspace(1.0, 5000.0, 400)
         for tier, carrier in ((Tier.LTE, 2.4e9), (Tier.MMWAVE, 28e9)):
-            los = path_loss(tier, np.ones_like(d, dtype=bool), d, carrier)
-            nlos = path_loss(tier, np.zeros_like(d, dtype=bool), d, carrier)
+            los = path_loss(tier, np.ones_like(d, dtype=bool), d, carrier, PARAMS)
+            nlos = path_loss(tier, np.zeros_like(d, dtype=bool), d, carrier, PARAMS)
             assert np.all(nlos >= los)
 
     def test_lte_los_golden_value(self):
         # 103.4 + 24.2*log10(0.1 km) evaluated by hand
-        assert path_loss(Tier.LTE, True, 100.0, 2.4e9) == pytest.approx(79.2, rel=1e-12)
+        assert path_loss(Tier.LTE, True, 100.0, 2.4e9, PARAMS) == pytest.approx(79.2, rel=1e-12)
 
     def test_short_distance_clamped(self):
-        assert path_loss(Tier.MMWAVE, True, 0.01, 28e9) == \
-            path_loss(Tier.MMWAVE, True, 1.0, 28e9)
+        assert path_loss(Tier.MMWAVE, True, 0.01, 28e9, PARAMS) == \
+            path_loss(Tier.MMWAVE, True, 1.0, 28e9, PARAMS)
 
     def test_positive_at_any_positive_distance(self):
         d = np.geomspace(1.0, 20_000.0, 200)
-        assert np.all(path_loss(Tier.LTE, True, d, 2.4e9) > 0)
-        assert np.all(path_loss(Tier.MMWAVE, True, d, 28e9) > 0)
+        assert np.all(path_loss(Tier.LTE, True, d, 2.4e9, PARAMS) > 0)
+        assert np.all(path_loss(Tier.MMWAVE, True, d, 28e9, PARAMS) > 0)
 
 
 class TestGain:
@@ -103,25 +114,21 @@ class TestGain:
     def test_degenerate_array(self):
         assert cumulative_gain(Tier.MMWAVE, 1, 1) == 1.0
 
-    def test_invalid_counts(self):
-        with pytest.raises(ValueError):
-            cumulative_gain(Tier.MMWAVE, 0, 16)
-
 
 class TestSnr:
     def test_gain_decade_adds_10db(self):
-        base = snr_db(27.0, 1.0, 100.0, 1e9)
-        assert snr_db(27.0, 10.0, 100.0, 1e9) == pytest.approx(base + 10.0, abs=1e-9)
+        base = snr_db(27.0, 1.0, 100.0, 1e9, NOISE)
+        assert snr_db(27.0, 10.0, 100.0, 1e9, NOISE) == pytest.approx(base + 10.0, abs=1e-9)
 
     def test_double_bandwidth_costs_3db(self):
-        base = snr_db(27.0, 1.0, 100.0, 1e9)
-        assert snr_db(27.0, 1.0, 100.0, 2e9) == pytest.approx(
+        base = snr_db(27.0, 1.0, 100.0, 1e9, NOISE)
+        assert snr_db(27.0, 1.0, 100.0, 2e9, NOISE) == pytest.approx(
             base - 10.0 * math.log10(2.0), abs=1e-9)
 
     def test_link_budget_example(self):
         # 27 dBm + 10log10(1024) - 100 dB - (-174 + 90) dBm
         expected = 27.0 + 10.0 * math.log10(1024.0) - 100.0 + 84.0
-        assert snr_db(27.0, 1024.0, 100.0, 1e9) == pytest.approx(expected, abs=1e-9)
+        assert snr_db(27.0, 1024.0, 100.0, 1e9, NOISE) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(41.103, abs=1e-3)
 
     def test_db_linear_roundtrip(self, rng):
@@ -130,7 +137,7 @@ class TestSnr:
             gain = rng.uniform(1.0, 2000.0)
             pl = rng.uniform(40.0, 160.0)
             bw = rng.uniform(1e6, 2e9)
-            value = snr_db(tx, gain, pl, bw)
+            value = snr_db(tx, gain, pl, bw, NOISE)
             linear = 10.0 ** (value / 10.0)
             direct = (10.0 ** (tx / 10.0) * gain
                       / (10.0 ** (pl / 10.0) * 10.0 ** (-174.0 / 10.0) * bw))
@@ -138,26 +145,30 @@ class TestSnr:
 
 
 class TestAchievableRate:
+    # the achievable rate at load 1 is LinkTable.unit_rate_bps
     def test_outage_rate_is_zero(self):
-        assert achievable_rate(-6.0, 1e9, 1) == 0.0
+        assert make_table([[-6.0]], [1e9], [False]).unit_rate_bps[0, 0] == 0.0
 
     def test_zero_db_is_bandwidth(self):
-        assert achievable_rate(0.0, 20e6, 1) == pytest.approx(20e6, rel=1e-12)
+        table = make_table([[0.0]], [20e6], [True])
+        assert table.unit_rate_bps[0, 0] == pytest.approx(20e6, rel=1e-12)
 
     def test_load_doubling_halves_rate(self):
-        r1 = achievable_rate(17.0, 1e9, 3)
-        r2 = achievable_rate(17.0, 1e9, 6)
-        assert r2 == r1 / 2.0
+        # realized_rates divides the rate at load 1 by the station's load
+        table = make_table([[17.0]], [1e9], [False])
 
-    def test_zero_load_rejected(self):
-        with pytest.raises(ValueError):
-            achievable_rate(10.0, 1e9, 0)
+        def rate(load):
+            state = AssociationState(np.array([0]), np.array([load]))
+            return realized_rates(state, table)[0]
+
+        assert rate(6) == rate(3) / 2.0
+        assert rate(1) == table.unit_rate_bps[0, 0]
 
     def test_monotone_in_snr_above_threshold(self):
         snrs = np.linspace(-5.0, 60.0, 500)
-        rates = [achievable_rate(s, 1e9, 1) for s in snrs]
-        assert all(b >= a for a, b in zip(rates, rates[1:]))
-        assert achievable_rate(-5.0001, 1e9, 1) == 0.0
+        rates = make_table([snrs], [1e9] * 500, [False] * 500).unit_rate_bps[0]
+        assert np.all(np.diff(rates) >= 0.0)
+        assert make_table([[-5.0001]], [1e9], [False]).unit_rate_bps[0, 0] == 0.0
 
 
 class TestLinkTable:
@@ -245,9 +256,13 @@ class TestLinkTable:
         cfg = ScenarioConfig()
         table = build_link_table(build_snapshot(cfg, 8.0, rng), rng, cfg.channel,
                                  cfg.snr_threshold_db)
-        assert set(vars(table)) == {
-            "n_vn", "n_bs", "snr_db", "unit_rate_bps", "is_lte", "lte_indices",
-            "required_rate_bps", "snr_threshold_db"}
+        held = {"n_vn", "n_bs", "snr_db", "bandwidth_hz", "is_lte",
+                "lte_indices", "required_rate_bps", "snr_threshold_db"}
+        assert set(vars(table)) == held
+        # the per-station bandwidth is what the rate table is built from
+        assert table.bandwidth_hz.shape == (table.n_bs,)
+        table.unit_rate_bps
+        assert set(vars(table)) == held | {"unit_rate_bps"}
 
     def test_snr_non_increasing_with_distance_fixed_los(self):
         d = np.linspace(30.0, 2000.0, 300)
@@ -255,13 +270,13 @@ class TestLinkTable:
                 (Tier.LTE, 2.4e9, 20e6, 46.0, 1.0),
                 (Tier.MMWAVE, 28e9, 1e9, 27.0, 1024.0)):
             for los in (True, False):
-                pl = path_loss(tier, np.full(d.shape, los), d, carrier)
-                snr = snr_db(tx, gain, pl, bw)
+                pl = path_loss(tier, np.full(d.shape, los), d, carrier, PARAMS)
+                snr = snr_db(tx, gain, pl, bw, NOISE)
                 assert np.all(np.diff(snr) <= 1e-12)
 
     def test_outage_flag_matches_threshold(self):
         table = make_table([[-5.0, -5.001, 3.0]], [1e9] * 3, [False] * 3)
-        in_outage = [achievable_rate(s, 1e9, 1, table.snr_threshold_db) == 0.0
+        in_outage = [shannon(s, 1e9, table.snr_threshold_db) == 0.0
                      for s in table.snr_db[0]]
         assert in_outage == [False, True, False]
         assert list(table.unit_rate_bps[0] == 0.0) == in_outage
@@ -274,12 +289,75 @@ class TestLinkTable:
         for vn in range(0, table.n_vn, 37):
             for bs in range(table.n_bs):
                 radio = cfg.channel.lte if table.is_lte[bs] else cfg.channel.mmw
-                expected = achievable_rate(
-                    float(table.snr_db[vn, bs]), radio.bandwidth_hz, 1,
-                    table.snr_threshold_db)
+                expected = shannon(float(table.snr_db[vn, bs]), radio.bandwidth_hz,
+                                   table.snr_threshold_db)
                 assert table.unit_rate_bps[vn, bs] == pytest.approx(expected, rel=1e-12)
 
     def test_table_is_frozen(self):
         table = make_table([[10.0]], [1e9], [False])
         with pytest.raises(ValueError):
             table.snr_db[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            table.bandwidth_hz[0] = 0.0
+        # built on the first read, read-only from then on, and built once
+        rate = table.unit_rate_bps
+        with pytest.raises(ValueError):
+            rate[0, 0] = 0.0
+        assert table.unit_rate_bps is rate
+
+    def test_rates_at_gathers_the_rate_table(self, rng):
+        cfg = ScenarioConfig()
+        table = build_link_table(build_snapshot(cfg, 40.0, rng), rng, cfg.channel,
+                                 cfg.snr_threshold_db)
+        rows = rng.integers(0, table.n_vn, size=500)
+        cols = rng.integers(0, table.n_bs, size=500)
+        gathered = table.rates_at(rows, cols)
+        assert np.array_equal(gathered, table.unit_rate_bps[rows, cols])
+        assert (gathered == 0.0).any() and (gathered > 0.0).any()
+
+
+# (description, config, density): the deployments the blocked build is
+# checked on, with several blocks of vehicles at the default block size
+BUILD_CASES = [
+    ("default", ScenarioConfig(), 40.0),
+    ("no vehicles", ScenarioConfig(vn_mode="FIXED", fixed_vn_count=0), 40.0),
+    ("no LTE station", ScenarioConfig(lte_density_per_km2=0.0), 40.0),
+    ("no mmWave station", ScenarioConfig(vn_mode="FIXED", fixed_vn_count=300), 0.0),
+    ("LOS override", ScenarioConfig(
+        channel=ChannelParams(los_probability_override=0.5)), 40.0),
+]
+
+
+class TestBlockedBuild:
+    @staticmethod
+    def build(monkeypatch, cfg, lam, block):
+        monkeypatch.setattr(channel, "_ROW_BLOCK", block)
+        rng = np.random.default_rng(17)
+        snap = build_snapshot(cfg, lam, rng)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+        return snap, table, rng.bit_generator.state
+
+    @pytest.mark.parametrize("case", BUILD_CASES, ids=[c[0] for c in BUILD_CASES])
+    @pytest.mark.parametrize("block", [1, 7, channel._ROW_BLOCK, "M"])
+    def test_blocks_equal_one_block(self, monkeypatch, case, block):
+        _, cfg, lam = case
+        snap, whole, state = self.build(monkeypatch, cfg, lam, 10**9)
+        m = snap.vn_xy.shape[0]
+        _, table, block_state = self.build(
+            monkeypatch, cfg, lam, max(m, 1) if block == "M" else block)
+        assert np.array_equal(table.snr_db, whole.snr_db)
+        assert table.snr_db.shape == (m, snap.bs_xy.shape[0])
+        # the uniforms are drawn once for the whole table, whatever the block
+        assert block_state == state
+
+    def test_cases_cover_what_they_name(self, monkeypatch):
+        shapes = {}
+        for name, cfg, lam in BUILD_CASES:
+            snap, table, _ = self.build(monkeypatch, cfg, lam, channel._ROW_BLOCK)
+            shapes[name] = (table.n_vn, snap.n_lte, table.n_bs - snap.n_lte)
+        assert shapes["default"][0] > 2 * channel._ROW_BLOCK
+        assert shapes["no vehicles"][0] == 0
+        assert shapes["no LTE station"][1] == 0 and shapes["no LTE station"][0]
+        assert shapes["no mmWave station"][2] == 0 and shapes["no mmWave station"][0]
+        assert all(n_lte and n_mmw for _, n_lte, n_mmw in
+                   (shapes["default"], shapes["LOS override"]))

@@ -209,6 +209,12 @@ FLOAT_LEAVES = [(key, value) for key, value in TYPED_LEAVES
                 or (isinstance(value, tuple) and isinstance(value[0], float))]
 
 
+# the float leaves whose default is a whole number, which an int can hold
+INTEGRAL_FLOAT_LEAVES = [
+    (key, value) for key, value in FLOAT_LEAVES
+    if all(float(v).is_integer() for v in (value if isinstance(value, tuple) else (value,)))]
+
+
 def with_first(value, bad):
     """``value`` with ``bad`` in place of the scalar or the first entry."""
     return [bad, *value[1:]] if isinstance(value, tuple) else bad
@@ -360,4 +366,34 @@ class TestOneGate:
         assert str(error.value) == message
 
     def test_int_is_a_number(self):
-        assert ScenarioConfig(area_km2=1, class_probabilities=(1, 0, 0, 0)).area_km2 == 1
+        cfg = ScenarioConfig(area_km2=1, class_probabilities=(1, 0, 0, 0))
+        assert cfg.area_km2 == 1 and type(cfg.area_km2) is float
+        assert all(type(p) is float for p in cfg.class_probabilities)
+
+    @pytest.mark.parametrize("key,default", INTEGRAL_FLOAT_LEAVES,
+                             ids=[k for k, _ in INTEGRAL_FLOAT_LEAVES])
+    def test_int_in_a_float_field_echoes_as_a_float(self, key, default):
+        # equal configs write equal `# config` bytes, whichever path built them
+        whole = tuple(map(int, default)) if isinstance(default, tuple) else int(default)
+        echo = json.dumps(ScenarioConfig().to_dict())
+        builds = {
+            "config_from_dict": lambda: config_from_dict(nested(
+                key, list(whole) if isinstance(whole, tuple) else whole)),
+            "constructor": lambda: ScenarioConfig(**keyword(key, whole)),
+            "replace": lambda: replace(ScenarioConfig(), **keyword(key, whole)),
+        }
+        for path, build in builds.items():
+            assert json.dumps(build().to_dict()) == echo, path
+
+    def test_int_los_override_echoes_as_a_float(self):
+        cfg = ScenarioConfig(channel=ChannelParams(los_probability_override=1))
+        assert cfg.to_dict() == config_from_dict(
+            {"channel": {"los_probability_override": 1.0}}).to_dict()
+        assert type(cfg.channel.los_probability_override) is float
+
+    def test_float_config_keeps_its_objects(self):
+        # a config whose values already have their types is not copied
+        channel = ChannelParams()
+        cfg = ScenarioConfig(channel=channel)
+        assert cfg.channel is channel
+        assert cfg.mmw_density_grid_per_km2 is ScenarioConfig().mmw_density_grid_per_km2

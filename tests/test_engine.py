@@ -18,6 +18,7 @@ from v2isim import (
     run_once,
     steady_state,
 )
+from v2isim import engine
 from v2isim.engine import _ATTACH_BLOCK
 from v2isim.policy import choice_rates, unsettled
 from conftest import make_table
@@ -568,3 +569,35 @@ class TestRealizedRates:
                 assert rates[vn] == pytest.approx(expected, rel=1e-12)
             else:
                 assert rates[vn] == 0.0
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_gathers_the_rate_table_exactly(self, policy):
+        # realized_rates reads the SNR of the attached links only, by the
+        # formula the full rate table is built with
+        cfg = ScenarioConfig()
+        for lam in (8.0, 40.0):
+            rng = np.random.default_rng(int(lam))
+            snap = build_snapshot(cfg, lam, rng)
+            table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+            state = initial_attach(snap, table, policy)
+            state, _, _ = steady_state(state, snap, table, policy, rng)
+            rates = realized_rates(state, table)
+            attached = np.flatnonzero(state.assignment >= 0)
+            assert attached.size
+            bs = state.assignment[attached]
+            expected = np.zeros(table.n_vn)
+            expected[attached] = table.unit_rate_bps[attached, bs] / state.loads[bs]
+            assert np.array_equal(rates, expected)
+
+    def test_ms_run_never_builds_the_rate_table(self, monkeypatch):
+        tables = []
+
+        def keep(*args, **kwargs):
+            tables.append(build_link_table(*args, **kwargs))
+            return tables[-1]
+
+        monkeypatch.setattr(engine, "build_link_table", keep)
+        cfg = ScenarioConfig()
+        for policy in Policy:
+            run_once(cfg, 40.0, policy, derive_run_seed(1, 40.0, policy, 0))
+        assert ["unit_rate_bps" in vars(t) for t in tables] == [False, True, True]
