@@ -1,9 +1,9 @@
 """Steady-state association engine and the Monte Carlo campaign driver.
 
 One run: deploy -> link table -> greedy initial attachment -> randomized
-single-vehicle reassignment until no pick changes anything for a full
-window -> per-vehicle realized rates from the final loads. Runs are fully
-deterministic in their seed; campaign seeds are derived per
+single-vehicle reassignment, which stops ``window`` picks after its last
+move or at the pick cap -> per-vehicle realized rates from the final loads.
+Runs are fully deterministic in their seed; campaign seeds are derived per
 (density, policy, run index) so any cell is reproducible in isolation.
 
 The engine calls the attachment rules only through
@@ -132,34 +132,33 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     """Randomized best-response loop: pick a uniform vehicle, detach it,
     re-run the policy, re-insert.
 
-    Terminates once no pick has changed any assignment for
-    ceil(window_multiplier * M) consecutive picks, or at the hard cap of
-    ceil(cap_multiplier * M) total picks. Returns (state, picks, converged).
+    The loop stops ceil(window_multiplier * M) picks after its last move, or
+    at the hard cap of ceil(cap_multiplier * M) total picks. With
+    ``settled`` the number of picks up to and including the last move, it
+    returns (state, min(cap, settled + window), settled + window <= cap).
 
     The rule is evaluated once for every vehicle, then once per move. A
     ``choice`` vector holds each vehicle's current choice, ``chosen`` the
     post-join rate of that choice, and a ``dirty`` mask the vehicles whose
     choice differs from their station. A pick of a clean vehicle changes
-    nothing and only counts toward ``picks`` and the no-change streak; a
-    dirty pick moves to its ``choice``. A move from ``a`` to ``b`` changes
-    the post-join rate at ``a`` and ``b`` only, so after it the rule is
-    re-evaluated for exactly the vehicles ``policy.unsettled`` flags: those
-    choosing ``b``, and those for which ``a`` now ties or beats their
-    choice (under RA: or their required rate). Every other choice, dirty or
-    not, compares the same rates as before and stays exact. ``chosen`` is
-    refreshed for the flagged vehicles and those choosing ``a``, the only
-    entries the move changed. Picks are drawn in the same blocks from the
-    same generator as a loop that evaluates every pick, so the result is
-    the same. Once no vehicle is dirty, every further pick would change
-    nothing and the remaining count is added without drawing: MS, whose
-    choice ignores loads, returns min(window, cap) picks straight after the
-    initial attach, without a loop.
+    nothing; a dirty pick moves to its ``choice``. A move from ``a`` to
+    ``b`` changes the post-join rate at ``a`` and ``b`` only, so after it
+    the rule is re-evaluated for exactly the vehicles ``policy.unsettled``
+    flags: those choosing ``b``, and those for which ``a`` now ties or
+    beats their choice (under RA: or their required rate). Every other
+    choice, dirty or not, compares the same rates as before and stays
+    exact. ``chosen`` is refreshed for the flagged vehicles and those
+    choosing ``a``, the only entries the move changed. Picks are drawn in
+    the same blocks from the same generator as a loop that evaluates every
+    pick, so the result is the same. Once no vehicle is dirty no pick can
+    move one, so no further block is drawn: MS, whose choice ignores loads,
+    returns min(window, cap) picks straight after the initial attach.
     """
     m = link_table.n_vn
     if m == 0:
         return state, 0, True
-    window = max(1, math.ceil(no_change_window_multiplier * m))
-    cap = max(1, math.ceil(pick_cap_multiplier * m))
+    window = math.ceil(no_change_window_multiplier * m)
+    cap = math.ceil(pick_cap_multiplier * m)
     assignment, loads = state.assignment, state.loads
     everyone = np.arange(m)
     choice = POLICY_KERNELS[policy](link_table, assignment, loads, everyone)
@@ -167,28 +166,22 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     # the rates of the choices count only once a vehicle moves
     chosen = (choice_rates(link_table, assignment, loads, everyone, choice)
               if dirty.any() else None)
-    picks = 0
-    streak = 0
-    while picks < cap and streak < window:
-        if not dirty.any():
-            # no vehicle can move: count the remaining picks without drawing
-            rest = min(cap - picks, window - streak)
-            picks += rest
-            streak += rest
+    settled = 0
+    for start in range(0, cap, _PICK_BATCH):
+        if start >= settled + window or not dirty.any():
             break
-        batch = rng.integers(0, m, size=min(_PICK_BATCH, cap - picks))
+        batch = rng.integers(0, m, size=min(_PICK_BATCH, cap - start))
         done = 0
-        while streak < window:
+        while True:
             # a dirty pick past the end of the window is never reached
-            stop = min(batch.size, done + window - streak)
+            stop = min(batch.size, settled + window - start)
             at = _next_dirty(dirty, batch, done, stop)
             if at == stop:
                 break
             # the picks before it change nothing
             vn = int(batch[at])
-            picks += at - done + 1
             done = at + 1
-            streak = 0
+            settled = start + done
             old, new = int(assignment[vn]), int(choice[vn])
             if old != NO_BS:
                 loads[old] -= 1
@@ -209,12 +202,9 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
             fresh = flagged.nonzero()[0]
             chosen[fresh] = choice_rates(link_table, assignment, loads, fresh,
                                          choice[fresh])
-        rest = min(batch.size - done, window - streak)
-        picks += rest
-        streak += rest
     if __debug__:
         state.check()
-    return state, picks, streak >= window
+    return state, min(cap, settled + window), settled + window <= cap
 
 
 def _next_dirty(dirty: np.ndarray, batch: np.ndarray, start: int,
@@ -257,14 +247,10 @@ def run_once(config: ScenarioConfig, lambda_m: float, policy: Policy,
         no_change_window_multiplier=config.no_change_window_multiplier,
         pick_cap_multiplier=config.pick_cap_multiplier)
     rates = realized_rates(state, table)
-
-    tier = np.full(table.n_vn, TIER_NONE, dtype=np.int8)
-    attached = state.assignment >= 0
-    if attached.any():
-        lte = np.zeros(table.n_vn, dtype=bool)
-        lte[attached] = table.is_lte[state.assignment[attached]]
-        tier[attached & lte] = TIER_LTE
-        tier[attached & ~lte] = TIER_MMWAVE
+    bs = state.assignment
+    tier = np.where(bs == NO_BS, TIER_NONE,
+                    np.where(bs < snapshot.n_lte, TIER_LTE, TIER_MMWAVE)
+                    ).astype(np.int8)
     return RunResult(
         lambda_m=lambda_m,
         policy=policy,

@@ -19,7 +19,7 @@ from v2isim import (
     steady_state,
 )
 from v2isim import engine
-from v2isim.engine import _ATTACH_BLOCK
+from v2isim.engine import _ATTACH_BLOCK, TIER_LTE, TIER_MMWAVE, TIER_NONE
 from v2isim.policy import choice_rates, unsettled
 from conftest import make_table
 import oracles
@@ -78,15 +78,30 @@ def states(draw, table, policy):
     return AssociationState(assignment, loads.astype(np.int64))
 
 
+class CountingGenerator:
+    """A seeded generator that counts the blocks of picks drawn from it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.blocks = 0
+
+    def integers(self, *args, **kwargs):
+        self.blocks += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 def assert_same_as_reference(table, policy, state, seed, **multipliers):
+    """Returns the blocks of picks the engine and the reference drew."""
     ref = AssociationState(state.assignment.copy(), state.loads.copy())
+    rng, ref_rng = CountingGenerator(seed), CountingGenerator(seed)
     got, picks, converged = steady_state(
-        state, None, table, policy, np.random.default_rng(seed), **multipliers)
+        state, None, table, policy, rng, **multipliers)
     want, ref_picks, ref_converged = oracles.reference_steady_state(
-        ref, None, table, policy, np.random.default_rng(seed), **multipliers)
+        ref, None, table, policy, ref_rng, **multipliers)
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.loads, want.loads)
     assert (picks, converged) == (ref_picks, ref_converged)
+    return rng.blocks, ref_rng.blocks
 
 
 def assert_attach_is_greedy_pass(table, policy):
@@ -109,6 +124,13 @@ def assert_attach_is_greedy_pass(table, policy):
     assert np.array_equal(got.loads, want.loads)
     assert (got.assignment.dtype, got.loads.dtype) == (np.int64, np.int64)
     return got
+
+
+def expected_tier(bs, n_lte):
+    """A vehicle's tier from its station id: station j is LTE iff j < n_lte."""
+    if bs == NO_BS:
+        return TIER_NONE
+    return TIER_LTE if bs < n_lte else TIER_MMWAVE
 
 
 def loads_without(assignment, loads, vn):
@@ -290,6 +312,47 @@ class TestSteadyState:
         assert_same_as_reference(table, policy, initial_attach(snap, table, policy),
                                  seed + 1)
 
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7])
+    @settings(PROPERTY_SETTINGS, max_examples=100)
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)),
+           window=st.floats(0.1, 8.0), cap=st.floats(0.1, 30.0),
+           seed=st.integers(0, 2**32))
+    def test_equals_reference_loop_with_short_pick_batches(
+            self, batch, data, policy, window, cap, seed):
+        # the window's end and the cap fall on or next to a batch edge in
+        # most examples, which a batch of 4096 never reaches on these tables
+        table = data.draw(micro_tables())
+        state = data.draw(states(table, policy))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_PICK_BATCH", batch)
+            patch.setattr(oracles, "_PICK_BATCH", batch)
+            blocks, ref_blocks = assert_same_as_reference(
+                table, policy, state, seed,
+                no_change_window_multiplier=window, pick_cap_multiplier=cap)
+        # the loop draws no block past the window's end; it may stop drawing
+        # early, once no vehicle can move
+        assert blocks <= ref_blocks
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7])
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("lam", [4.0, 8.0])
+    # the default; a cap below the window; a cap equal to it; a cap below M
+    @pytest.mark.parametrize("window,cap", [(3.0, 50.0), (3.0, 2.0),
+                                            (2.0, 2.0), (0.5, 0.7)])
+    def test_equals_reference_loop_on_snapshots_with_short_pick_batches(
+            self, monkeypatch, batch, policy, lam, window, cap):
+        monkeypatch.setattr(engine, "_PICK_BATCH", batch)
+        monkeypatch.setattr(oracles, "_PICK_BATCH", batch)
+        cfg = ScenarioConfig()
+        seed = derive_run_seed(3, lam, policy, batch)
+        rng = np.random.default_rng(seed)
+        snap = build_snapshot(cfg, lam, rng)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+        blocks, ref_blocks = assert_same_as_reference(
+            table, policy, initial_attach(snap, table, policy), batch,
+            no_change_window_multiplier=window, pick_cap_multiplier=cap)
+        assert blocks <= ref_blocks
+
     @pytest.mark.parametrize("policy", list(Policy))
     def test_rule_runs_once_and_then_once_per_move(self, monkeypatch, policy):
         cfg = ScenarioConfig()
@@ -467,6 +530,27 @@ class TestRunOnce:
         cfg = ScenarioConfig()
         result = run_once(cfg, 0.0, Policy.RA, 5)
         assert set(np.unique(result.tier)) <= {0, 1}
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("lam", [0.0, 8.0, 40.0])
+    @pytest.mark.parametrize("run", range(3))
+    def test_tier_follows_station_id(self, policy, lam, run):
+        cfg = ScenarioConfig()
+        seed = derive_run_seed(2, lam, policy, run)
+        # the snapshot is the first thing a run draws
+        snap = build_snapshot(cfg, lam, np.random.default_rng(seed))
+        result = run_once(cfg, lam, policy, seed)
+        assert result.tier.dtype == np.int8
+        assert result.tier.tolist() == [expected_tier(bs, snap.n_lte)
+                                        for bs in result.bs_id.tolist()]
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_tier_is_none_without_a_station(self, policy):
+        cfg = ScenarioConfig(vn_mode="FIXED", fixed_vn_count=5,
+                             lte_density_per_km2=0.0)
+        result = run_once(cfg, 0.0, policy, 9)
+        assert result.bs_id.tolist() == [NO_BS] * 5
+        assert result.tier.tolist() == [TIER_NONE] * 5
 
     def test_realized_rates_share_bandwidth_equally(self):
         cfg = ScenarioConfig()
