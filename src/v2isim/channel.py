@@ -107,7 +107,11 @@ class LinkTable:
     def rates_at(self, rows, cols) -> np.ndarray:
         """unit_rate_bps[rows, cols], computed from the SNR of those links
         alone by the formula the full matrix is built with."""
-        snr = self.snr_db[rows, cols]
+        return self.unit_rates(self.snr_db[rows, cols], cols)
+
+    def unit_rates(self, snr: np.ndarray, cols) -> np.ndarray:
+        """The rate at load 1 of links of SNR ``snr`` to stations ``cols``:
+        bandwidth * log2(1 + snr_linear), 0 below the threshold."""
         with np.errstate(over="ignore"):
             rate = self.bandwidth_hz[cols] * np.log2(1.0 + 10.0 ** (snr / 10.0))
         return np.where(snr < self.snr_threshold_db, 0.0, rate)

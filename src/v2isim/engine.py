@@ -9,12 +9,14 @@ Runs are fully deterministic in their seed; campaign seeds are derived per
 The engine calls the attachment rules only through
 ``policy.POLICY_KERNELS``, looked up at each call, and a call evaluates the
 rule for a block of vehicles at once. The reassignment loop evaluates it
-once for every vehicle and then once per move, for exactly the vehicles
-whose choice the move can change (``policy.unsettled``): a move changes
-the post-join rate of the station it leaves and of the one it joins, and
-nothing else. The other picks change nothing, so they are counted without
-an evaluation, and the loop returns exactly what a loop evaluating every
-pick would return.
+once for every vehicle. After that, a move only marks stale the vehicles
+whose choice it can change (``policy.unsettled``): a move changes the
+post-join rate of the station it leaves and of the one it joins, and
+nothing else. The stale set is evaluated in one call, at the loads of the
+moment, when a pick reaches a stale vehicle and at each block boundary, so
+one call usually covers several moves. The other picks change nothing, so
+they are counted without an evaluation, and the loop returns exactly what a
+loop evaluating every pick would return.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numpy as np
 from .channel import LinkTable, build_link_table
 from .config import POLICY_NAMES, ScenarioConfig
 from .geometry import Snapshot, build_snapshot
-from .policy import NO_BS, POLICY_KERNELS, Policy, choice_rates, unsettled
+from .policy import NO_BS, POLICY_KERNELS, Policy, thresholds, unsettled
 
 TIER_NONE, TIER_LTE, TIER_MMWAVE = 0, 1, 2
 TIER_NAMES = {TIER_NONE: "NONE", TIER_LTE: "LTE", TIER_MMWAVE: "MMWAVE"}
@@ -99,8 +101,8 @@ def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
     start = 0
     while start < m:
         stop = m if policy is Policy.MS else min(start + _ATTACH_BLOCK, m)
-        choice = POLICY_KERNELS[policy](link_table, assignment, loads,
-                                        np.arange(start, stop))
+        choice, _ = POLICY_KERNELS[policy](link_table, assignment, loads,
+                                           np.arange(start, stop))
         if policy is not Policy.MS:
             choice = choice[:_first_repeat(choice)]
         assignment[start:start + choice.size] = choice
@@ -137,22 +139,27 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     ``settled`` the number of picks up to and including the last move, it
     returns (state, min(cap, settled + window), settled + window <= cap).
 
-    The rule is evaluated once for every vehicle, then once per move. A
-    ``choice`` vector holds each vehicle's current choice, ``chosen`` the
-    post-join rate of that choice, and a ``dirty`` mask the vehicles whose
-    choice differs from their station. A pick of a clean vehicle changes
-    nothing; a dirty pick moves to its ``choice``. A move from ``a`` to
-    ``b`` changes the post-join rate at ``a`` and ``b`` only, so after it
-    the rule is re-evaluated for exactly the vehicles ``policy.unsettled``
-    flags: those choosing ``b``, and those for which ``a`` now ties or
-    beats their choice (under RA: or their required rate). Every other
-    choice, dirty or not, compares the same rates as before and stays
-    exact. ``chosen`` is refreshed for the flagged vehicles and those
-    choosing ``a``, the only entries the move changed. Picks are drawn in
-    the same blocks from the same generator as a loop that evaluates every
-    pick, so the result is the same. Once no vehicle is dirty no pick can
-    move one, so no further block is drawn: MS, whose choice ignores loads,
-    returns min(window, cap) picks straight after the initial attach.
+    A ``choice`` vector holds each vehicle's choice, ``bar`` its
+    ``policy.thresholds``, a ``stale`` mask the vehicles a move may have
+    unsettled since their last evaluation, and a ``dirty`` mask the stale
+    vehicles and those whose choice differs from their station. A move from
+    ``a`` to ``b`` changes the post-join rate at ``a`` and ``b`` only, so it
+    adds to ``stale`` and ``dirty`` the vehicles ``policy.unsettled`` flags;
+    every other choice, dirty or not, compares the same rates as before and
+    stays exact. The rule is evaluated at the current loads for every stale
+    vehicle at once: first for everyone, then when a pick reaches a stale
+    vehicle and at each block boundary. So ``dirty`` is exact wherever the
+    loop decides to move, to draw a block or to stop. A pick of a clean
+    vehicle, stale or not, changes nothing; a dirty pick moves to its
+    ``choice``. A bar is set when its vehicle is evaluated and is not
+    raised after: the rate at a vehicle's choice falls only at a move that
+    flags it, and rises at a move away from it, so the bar of a vehicle
+    that is not stale can be too low, never too high, and a bar too low only
+    flags more vehicles. Picks are drawn in the same blocks from the same
+    generator as a loop that evaluates every pick, so the result is the
+    same. Once no vehicle is dirty no pick can move one, so no further
+    block is drawn: MS, whose choice ignores loads, returns min(window, cap)
+    picks straight after the initial attach.
     """
     m = link_table.n_vn
     if m == 0:
@@ -161,14 +168,29 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     cap = math.ceil(pick_cap_multiplier * m)
     assignment, loads = state.assignment, state.loads
     everyone = np.arange(m)
-    choice = POLICY_KERNELS[policy](link_table, assignment, loads, everyone)
+    choice, rate = POLICY_KERNELS[policy](link_table, assignment, loads, everyone)
     dirty = choice != assignment
-    # the rates of the choices count only once a vehicle moves
-    chosen = (choice_rates(link_table, assignment, loads, everyone, choice)
-              if dirty.any() else None)
+    stale = np.zeros(m, dtype=bool)
+    # the bars count only once a vehicle moves
+    bar = (thresholds(link_table, policy, everyone, choice, rate)
+           if dirty.any() else None)
+
+    def evaluate():
+        # ndarray.nonzero skips the ravel and dispatch of np.flatnonzero
+        rows = stale.nonzero()[0]
+        got, rate = POLICY_KERNELS[policy](link_table, assignment, loads, rows)
+        choice[rows] = got
+        bar[:, rows] = thresholds(link_table, policy, rows, got, rate)
+        dirty[rows] = got != assignment[rows]
+        stale[rows] = False
+
     settled = 0
     for start in range(0, cap, _PICK_BATCH):
-        if start >= settled + window or not dirty.any():
+        if start >= settled + window:
+            break
+        if stale.any():
+            evaluate()
+        if not dirty.any():
             break
         batch = rng.integers(0, m, size=min(_PICK_BATCH, cap - start))
         done = 0
@@ -178,9 +200,13 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
             at = _next_dirty(dirty, batch, done, stop)
             if at == stop:
                 break
-            # the picks before it change nothing
             vn = int(batch[at])
             done = at + 1
+            if stale[vn]:
+                evaluate()
+                if not dirty[vn]:
+                    continue
+            # the picks before it change nothing
             settled = start + done
             old, new = int(assignment[vn]), int(choice[vn])
             if old != NO_BS:
@@ -190,18 +216,9 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
             assignment[vn] = new
             dirty[vn] = False
             flagged = unsettled(link_table, policy, assignment, loads,
-                                choice, chosen, old, new)
-            # ndarray.nonzero skips the ravel and dispatch of np.flatnonzero,
-            # about a tenth of this loop
-            recheck = flagged.nonzero()[0]
-            choice[recheck] = POLICY_KERNELS[policy](link_table, assignment,
-                                                     loads, recheck)
-            dirty[recheck] = choice[recheck] != assignment[recheck]
-            if old != NO_BS:
-                flagged |= choice == old
-            fresh = flagged.nonzero()[0]
-            chosen[fresh] = choice_rates(link_table, assignment, loads, fresh,
-                                         choice[fresh])
+                                choice, bar, old, new)
+            stale |= flagged
+            dirty |= flagged
     if __debug__:
         state.check()
     return state, min(cap, settled + window), settled + window <= cap

@@ -283,8 +283,8 @@ def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
                              snr_threshold_db=slope * -5.0 + offset)
     loads = np.zeros(n, dtype=np.int64)
     unattached, rows = np.array([NO_BS]), np.array([0])
-    assert ms_choice(base, unattached, loads, rows) == \
-        ms_choice(transformed, unattached, loads, rows)
+    assert ms_choice(base, unattached, loads, rows)[0] == \
+        ms_choice(transformed, unattached, loads, rows)[0]
 
 
 @PROPERTY_SETTINGS

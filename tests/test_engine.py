@@ -20,7 +20,7 @@ from v2isim import (
 )
 from v2isim import engine
 from v2isim.engine import _ATTACH_BLOCK, TIER_LTE, TIER_MMWAVE, TIER_NONE
-from v2isim.policy import choice_rates, unsettled
+from v2isim.policy import thresholds, unsettled
 from conftest import make_table
 import oracles
 
@@ -79,21 +79,43 @@ def states(draw, table, policy):
 
 
 class CountingGenerator:
-    """A seeded generator that counts the blocks of picks drawn from it."""
+    """A seeded generator that counts the blocks of picks drawn from it,
+    and those drawn while ``movable()`` holds."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, movable=lambda: False):
         self.rng = np.random.default_rng(seed)
-        self.blocks = 0
+        self.movable = movable
+        self.blocks = self.movable_blocks = 0
 
     def integers(self, *args, **kwargs):
         self.blocks += 1
+        self.movable_blocks += bool(self.movable())
         return self.rng.integers(*args, **kwargs)
+
+
+class ScriptedGenerator:
+    """Draws ``picks`` first, then from a generator seeded with ``seed``."""
+
+    def __init__(self, picks, seed):
+        self.picks = list(picks)
+        self.rng = np.random.default_rng(seed)
+
+    def integers(self, low, high, size):
+        head, self.picks = self.picks[:size], self.picks[size:]
+        return np.concatenate([np.array(head, dtype=np.int64),
+                               self.rng.integers(low, high, size=size - len(head))])
 
 
 def assert_same_as_reference(table, policy, state, seed, **multipliers):
     """Returns the blocks of picks the engine and the reference drew."""
     ref = AssociationState(state.assignment.copy(), state.loads.copy())
-    rng, ref_rng = CountingGenerator(seed), CountingGenerator(seed)
+    rule = oracles.REFERENCE_RULES[policy]
+
+    def movable():
+        return any(rule(table, vn, loads_without(ref.assignment, ref.loads, vn))
+                   != ref.assignment[vn] for vn in range(table.n_vn))
+
+    rng, ref_rng = CountingGenerator(seed), CountingGenerator(seed, movable)
     got, picks, converged = steady_state(
         state, None, table, policy, rng, **multipliers)
     want, ref_picks, ref_converged = oracles.reference_steady_state(
@@ -101,6 +123,9 @@ def assert_same_as_reference(table, policy, state, seed, **multipliers):
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.loads, want.loads)
     assert (picks, converged) == (ref_picks, ref_converged)
+    # the loop draws exactly the blocks the reference draws while a vehicle
+    # can still move: it knows at each block boundary whether one can
+    assert rng.blocks == ref_rng.movable_blocks
     return rng.blocks, ref_rng.blocks
 
 
@@ -353,6 +378,38 @@ class TestSteadyState:
             no_change_window_multiplier=window, pick_cap_multiplier=cap)
         assert blocks <= ref_blocks
 
+    def test_one_evaluation_covers_two_moves(self):
+        # vehicle 0 leaves station 0 for station 1, which frees station 0
+        # for vehicle 2; vehicle 1 then joins vehicle 2 on station 3. Both
+        # moves unsettle vehicle 2, and neither unsettles vehicle 1 before
+        # it moves, so the rule runs once more only when vehicle 2 is picked
+        table = make_table([[-5.0, 20.0, -30.0, -30.0],
+                            [-30.0, -30.0, -5.0, 20.0],
+                            [20.0, -30.0, -30.0, 10.0]], [1e9] * 4, [False] * 4)
+
+        def start():
+            return AssociationState(np.array([0, 2, 3]), np.array([1, 0, 1, 1]))
+
+        kernel, seen = POLICY_KERNELS[Policy.MR], []
+
+        def counted(table, assignment, loads, rows):
+            seen.append((assignment.tolist(), rows.tolist()))
+            return kernel(table, assignment, loads, rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(POLICY_KERNELS, Policy.MR, counted)
+            got, picks, converged = steady_state(
+                start(), None, table, Policy.MR, ScriptedGenerator([0, 1, 2], 0))
+        want, ref_picks, ref_converged = oracles.reference_steady_state(
+            start(), None, table, Policy.MR, ScriptedGenerator([0, 1, 2], 0))
+        assert np.array_equal(got.assignment, want.assignment)
+        assert np.array_equal(got.loads, want.loads)
+        assert (picks, converged) == (ref_picks, ref_converged)
+        assert got.assignment.tolist() == [1, 3, 0]
+        # everyone at the start, then the stale set at the third pick, after
+        # both moves and before vehicle 2's own
+        assert seen[:2] == [([0, 2, 3], [0, 1, 2]), ([1, 3, 3], [0, 1, 2])]
+
     @pytest.mark.parametrize("policy", list(Policy))
     def test_rule_runs_once_and_then_once_per_move(self, monkeypatch, policy):
         cfg = ScenarioConfig()
@@ -385,12 +442,15 @@ class TestSteadyState:
         oracles.reference_steady_state(ref, snap, table, policy, rng)
         assert np.array_equal(state.assignment, ref.assignment)
         assert converged and picks >= 3 * table.n_vn
-        assert len(calls) == 1 + sum(moves)
+        # a stale set exists only after a move, and one evaluation of it
+        # usually covers more than one move
+        assert len(calls) <= 1 + sum(moves)
         if policy is Policy.MS:
             assert len(calls) == 1
             assert picks == 3 * table.n_vn
         else:
             assert 0 < sum(moves) < 0.1 * picks
+            assert len(calls) < 1 + sum(moves)
 
     @pytest.mark.parametrize("policy", [Policy.MR, Policy.RA])
     @pytest.mark.parametrize("lam", [40.0, 80.0])
@@ -399,10 +459,11 @@ class TestSteadyState:
         # passes the rule only what a move can change, about a dozen rows
         # per move here; re-checking every dirty vehicle as well took 45-193
         cfg = ScenarioConfig(master_seed=7)
-        kernel, rows = POLICY_KERNELS[policy], []
+        kernel, rows, seen = POLICY_KERNELS[policy], [], []
 
         def counted(table, assignment, loads, recheck):
             rows.append(recheck.size)
+            seen.append(assignment.copy())
             return kernel(table, assignment, loads, recheck)
 
         moved = rechecked = 0
@@ -412,11 +473,17 @@ class TestSteadyState:
             table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
             state = initial_attach(snap, table, policy)
             rows.clear()
+            seen.clear()
             with pytest.MonkeyPatch.context() as patch:
                 patch.setitem(POLICY_KERNELS, policy, counted)
                 steady_state(state, snap, table, policy, rng)
             assert rows[0] == table.n_vn
-            moved += len(rows) - 1
+            # a vehicle that moves is stale until its next evaluation, so it
+            # moves at most once between two calls: the moves are the
+            # entries that changed from one call to the next
+            seen.append(state.assignment)
+            moved += sum(int(np.sum(after != before))
+                         for before, after in zip(seen, seen[1:]))
             rechecked += sum(rows[1:])
         assert moved > 0
         assert rechecked / moved <= 30
@@ -432,26 +499,89 @@ class TestSteadyState:
             assert int(state.loads.sum()) + int(np.sum(state.assignment == -1)) == n_vn
 
 
+def draw_kernel_call(data, policy):
+    """A micro table, a state, loads with other vehicles' load on top, so
+    that post-join loads above 1 appear, and any rows, in any order,
+    repeated or none."""
+    table = data.draw(micro_tables())
+    state = data.draw(states(table, policy))
+    extra = np.array(data.draw(st.lists(
+        st.integers(0, 3), min_size=table.n_bs, max_size=table.n_bs)),
+        dtype=np.int64)
+    rows = np.array(data.draw(st.lists(st.integers(0, table.n_vn - 1),
+                                       max_size=2 * table.n_vn)),
+                    dtype=np.int64)
+    return table, state.assignment, state.loads + extra, rows
+
+
 class TestBestResponses:
     @PROPERTY_SETTINGS
     @given(data=st.data(), policy=st.sampled_from(list(Policy)))
     def test_equals_reference_rule_row_by_row(self, data, policy):
-        table = data.draw(micro_tables())
-        state = data.draw(states(table, policy))
-        # other vehicles' load on top, so post-join loads above 1 appear
-        extra = np.array(data.draw(st.lists(
-            st.integers(0, 3), min_size=table.n_bs, max_size=table.n_bs)),
-            dtype=np.int64)
-        loads = state.loads + extra
-        # any rows, in any order, repeated or none
-        rows = np.array(data.draw(st.lists(st.integers(0, table.n_vn - 1),
-                                           max_size=2 * table.n_vn)),
-                        dtype=np.int64)
-        got = POLICY_KERNELS[policy](table, state.assignment, loads, rows)
+        table, assignment, loads, rows = draw_kernel_call(data, policy)
+        got, _ = POLICY_KERNELS[policy](table, assignment, loads, rows)
         assert got.shape == rows.shape and got.dtype == np.int64
         for vn, choice in zip(rows, got):
-            without = loads_without(state.assignment, loads, vn)
+            without = loads_without(assignment, loads, vn)
             assert choice == oracles.REFERENCE_RULES[policy](table, vn, without)
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)))
+    def test_rate_is_the_post_join_rate_of_the_choice(self, data, policy):
+        # bit for bit the float the reference rules compare, unit rate over
+        # the load without the vehicle + 1.0, and 0 where the choice is NO_BS
+        table, assignment, loads, rows = draw_kernel_call(data, policy)
+        choice, rate = POLICY_KERNELS[policy](table, assignment, loads, rows)
+        assert rate.shape == rows.shape and rate.dtype == np.float64
+        for vn, c, r in zip(rows, choice, rate):
+            without = loads_without(assignment, loads, vn)
+            want = (0.0 if c == NO_BS
+                    else table.unit_rate_bps[vn, c] / (without[c] + 1.0))
+            assert float(r).hex() == float(want).hex(), (vn, c)
+
+
+# rates on a coarse grid, each possibly one float above or below, so that
+# ties and near ties between a rate, a choice and a requirement are common
+GRID_RATES = st.builds(
+    lambda base, ulps: max(0.0, float(np.nextafter(base, np.inf)) if ulps > 0
+                           else float(np.nextafter(base, -np.inf)) if ulps < 0
+                           else base),
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]), st.integers(-1, 1))
+
+
+class TestThresholds:
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), policy=st.sampled_from([Policy.MR, Policy.RA]))
+    def test_bar_equals_the_two_clause_test(self, data, policy):
+        # the one comparison at_a >= bar[tier of a] is the test the loop made
+        # before the bars: a positive rate at a that ties or beats the
+        # choice, and under RA, for a vehicle not served by an LTE cell, an
+        # LTE a beating its required rate, with served vehicles ignoring a
+        # mmWave a
+        n_vn = data.draw(st.integers(1, 8))
+        is_lte = [True, False] + data.draw(st.lists(st.booleans(), max_size=2))
+        n_bs = len(is_lte)
+        required = np.array([data.draw(GRID_RATES) for _ in range(n_vn)])
+        table = make_table(np.zeros((n_vn, n_bs)), [20e6] * n_bs, is_lte, required)
+        choice = np.array([data.draw(st.integers(NO_BS, n_bs - 1))
+                           for _ in range(n_vn)], dtype=np.int64)
+        # the kernels give NO_BS a rate of 0
+        chosen = np.array([0.0 if c == NO_BS else data.draw(GRID_RATES)
+                           for c in choice])
+        rows = np.arange(n_vn)
+        bar = thresholds(table, policy, rows, choice, chosen)
+        assert bar.shape == (2, n_vn)
+        lte = table.is_lte
+        served = (choice != NO_BS) & lte[choice] & (chosen > required)
+        for a in range(n_bs):
+            at_a = np.array([data.draw(GRID_RATES) for _ in range(n_vn)])
+            drawn = (at_a >= chosen) & (at_a > 0.0)
+            if policy is Policy.RA:
+                if lte[a]:
+                    drawn |= ~served & (at_a > required)
+                else:
+                    drawn &= ~served
+            assert np.array_equal(at_a >= bar[int(lte[a])], drawn), a
 
 
 class TestUnsettled:
@@ -464,14 +594,15 @@ class TestUnsettled:
                            [20e6, 1e9, 1e9], [True, False, False], [0.0, 5e6])
         state = AssociationState(np.array([0, 2]), np.array([1, 0, 1]))
         rows = np.arange(2)
-        choice = POLICY_KERNELS[Policy.RA](table, state.assignment, state.loads, rows)
+        choice, chosen = POLICY_KERNELS[Policy.RA](table, state.assignment,
+                                                   state.loads, rows)
         assert list(choice) == [1, 2]
-        chosen = choice_rates(table, state.assignment, state.loads, rows, choice)
+        bar = thresholds(table, Policy.RA, rows, choice, chosen)
         state.assignment[0], state.loads[:] = 1, [0, 1, 1]
         assert list(POLICY_KERNELS[Policy.RA](
-            table, state.assignment, state.loads, rows)) == [1, 0]
+            table, state.assignment, state.loads, rows)[0]) == [1, 0]
         mask = unsettled(table, Policy.RA, state.assignment, state.loads,
-                         choice, chosen, 0, 1)
+                         choice, bar, 0, 1)
         assert mask[1]
 
     @settings(PROPERTY_SETTINGS, suppress_health_check=[
@@ -493,14 +624,17 @@ class TestUnsettled:
             0.0 if c == NO_BS else table.unit_rate_bps[vn, c] / (before[vn][c] + 1.0)
             for vn, c in zip(everyone, choice)])
         assert np.array_equal(
-            choice_rates(table, state.assignment, state.loads, everyone, choice),
+            POLICY_KERNELS[policy](table, state.assignment, state.loads, everyone)[1],
             chosen)
         dirty = np.flatnonzero(choice != state.assignment)
         assume(dirty.size > 0)
-        # an entry of chosen may be too low, never too high
+        bar = thresholds(table, policy, everyone, choice, chosen)
+        # an entry of bar may be too low, never too high
         if data.draw(st.booleans()):
             for v in data.draw(st.sets(st.sampled_from(everyone.tolist()))):
-                chosen[v] *= data.draw(st.sampled_from([0.0, 0.5]))
+                tier = data.draw(st.integers(0, 1))
+                bar[tier, v] = min(bar[tier, v],
+                                   chosen[v] * data.draw(st.sampled_from([0.0, 0.5])))
         for vn in dirty:
             assignment, loads = state.assignment.copy(), state.loads.copy()
             a, b = int(assignment[vn]), int(choice[vn])
@@ -509,7 +643,7 @@ class TestUnsettled:
             if b != NO_BS:
                 loads[b] += 1
             assignment[vn] = b
-            mask = unsettled(table, policy, assignment, loads, choice, chosen, a, b)
+            mask = unsettled(table, policy, assignment, loads, choice, bar, a, b)
             assert mask.shape == (table.n_vn,) and mask.dtype == bool
             for v in everyone:
                 if rule(table, v, loads_without(assignment, loads, v)) != choice[v]:

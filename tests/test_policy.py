@@ -8,8 +8,9 @@ def rule(policy):
     """``policy``'s choice for one unattached vehicle ``vn`` at ``loads``."""
     def choice(table, vn, loads):
         unattached = np.full(table.n_vn, NO_BS)
-        return POLICY_KERNELS[policy](table, unattached, np.asarray(loads),
-                                      np.array([vn]))[0]
+        choice, _ = POLICY_KERNELS[policy](table, unattached, np.asarray(loads),
+                                           np.array([vn]))
+        return choice[0]
     return choice
 
 
