@@ -9,10 +9,12 @@ Runs are fully deterministic in their seed; campaign seeds are derived per
 The engine calls the attachment rules only through
 ``policy.POLICY_KERNELS``, looked up at each call, and a call evaluates the
 rule for a block of vehicles at once. The reassignment loop evaluates it
-once for every vehicle. After that, a move only marks stale the vehicles
-whose choice it can change (``policy.unsettled``): a move changes the
-post-join rate of the station it leaves and of the one it joins, and
-nothing else. The stale set is evaluated in one call, at the loads of the
+once for every vehicle, except under MS, whose choices ignore loads: it
+reads them off the table (``LinkTable.strongest_bs``), so an MS run calls
+its rule once, in the initial attach. After that, a move only marks stale
+the vehicles whose choice it can change (``policy.unsettled``): a move
+changes the post-join rate of the station it leaves and of the one it
+joins, and nothing else. The stale set is evaluated in one call, at the loads of the
 moment, when a pick reaches a stale vehicle and at each block boundary, so
 one call usually covers several moves. The other picks change nothing, so
 they are counted without an evaluation, and the loop returns exactly what a
@@ -159,7 +161,9 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     generator as a loop that evaluates every pick, so the result is the
     same. Once no vehicle is dirty no pick can move one, so no further
     block is drawn: MS, whose choice ignores loads, returns min(window, cap)
-    picks straight after the initial attach.
+    picks straight after the initial attach. Under MS the choices are
+    ``link_table.strongest_bs``, read without a rule call, and no move
+    unsettles a vehicle, so no bar is kept.
     """
     m = link_table.n_vn
     if m == 0:
@@ -168,12 +172,18 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     cap = math.ceil(pick_cap_multiplier * m)
     assignment, loads = state.assignment, state.loads
     everyone = np.arange(m)
-    choice, rate = POLICY_KERNELS[policy](link_table, assignment, loads, everyone)
-    dirty = choice != assignment
+    if policy is Policy.MS:
+        # MS ignores loads: its choices are the table's for good and a move
+        # unsettles nobody, so neither a rule call nor bars are needed
+        choice, bar = link_table.strongest_bs, None
+        dirty = choice != assignment
+    else:
+        choice, rate = POLICY_KERNELS[policy](link_table, assignment, loads, everyone)
+        dirty = choice != assignment
+        # the bars count only once a vehicle moves
+        bar = (thresholds(link_table, policy, everyone, choice, rate)
+               if dirty.any() else None)
     stale = np.zeros(m, dtype=bool)
-    # the bars count only once a vehicle moves
-    bar = (thresholds(link_table, policy, everyone, choice, rate)
-           if dirty.any() else None)
 
     def evaluate():
         # ndarray.nonzero skips the ravel and dispatch of np.flatnonzero

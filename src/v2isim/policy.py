@@ -61,18 +61,17 @@ def _post_join_rates(table: LinkTable, assignment: np.ndarray,
 
 def _ms_choice(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attach to the base station with the highest SNR, load notwithstanding.
-    The rate of the choice is computed from that SNR alone, so MS never
-    builds ``unit_rate_bps``. The engine asks MS for every vehicle at once,
-    so the argmax runs over the table in place instead of over a copy of
-    its rows."""
+    """Attach to the base station with the highest SNR, load notwithstanding:
+    ``table.strongest_bs``. The rate of the choice is computed from that SNR
+    alone, so MS never builds ``unit_rate_bps``."""
     if table.n_bs == 0:
         return np.full(rows.size, NO_BS, dtype=np.int64), np.zeros(rows.size)
-    best = table.snr_db.argmax(axis=1)[rows]
-    snr = table.snr_db[rows, best]
-    # below the threshold the rate is 0, and so is the rate at NO_BS
-    rate = table.unit_rates(snr, best) / (loads[best] + (assignment[rows] != best))
-    return np.where(snr < table.snr_threshold_db, NO_BS, best), rate
+    choice = table.strongest_bs[rows]
+    # station 0 stands in for NO_BS: the SNR there is below the threshold
+    # too, so the rate is 0, and the divisor is at least 1 as at any station
+    col = np.maximum(choice, 0)
+    rate = table.rates_at(rows, col) / (loads[col] + (assignment[rows] != col))
+    return choice, rate
 
 
 def _mr_choice(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,

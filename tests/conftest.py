@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from v2isim import LinkTable, Tier, cumulative_gain, path_loss, snr_db
+from v2isim import LinkTable, Tier, channel
 
 
 def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,
@@ -18,23 +20,25 @@ def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,
 
 
 def los_snr_db(snapshot, params, unit_gain=False) -> np.ndarray:
-    """SNR of every (vehicle, station) link of ``snapshot`` as if in LOS,
-    recomputed from the snapshot's distances through ``path_loss``,
-    ``cumulative_gain`` (or gain 1 with ``unit_gain``) and ``snr_db``. The
-    distances are computed as the table build computes them, operation for
-    operation, so that the result is the build's to the bit."""
+    """SNR of every (vehicle, station) link of ``snapshot`` as if in LOS: the
+    LOS law of ``channel._snr_law`` at l = log10(max(s + dz*dz, d_min**2)),
+    s the squared horizontal distance, with the gain of the tier's arrays
+    (or of one-element arrays with ``unit_gain``). It is computed as the
+    table build computes it, operation for operation, so that the result is
+    the build's to the bit."""
+    if unit_gain:
+        params = replace(params, vn_array_elements=1,
+                         mmw=replace(params.mmw, array_elements=1))
     vn, bs = snapshot.vn_xy, snapshot.bs_xy
     dz = params.vn_height_m - params.bs_height_m
+    d2_min = params.min_distance_m * params.min_distance_m
     out = np.empty((vn.shape[0], bs.shape[0]))
     lte = snapshot.is_lte
-    for tier, radio, cols in ((Tier.LTE, params.lte, lte), (Tier.MMWAVE, params.mmw, ~lte)):
+    for tier, cols in ((Tier.LTE, lte), (Tier.MMWAVE, ~lte)):
+        a_los, b_los, _, _ = channel._snr_law(tier, params)
         dx, dy = vn[:, 0, None] - bs[cols, 0], vn[:, 1, None] - bs[cols, 1]
-        d3d = np.sqrt(dx * dx + dy * dy + dz * dz)
-        gain = 1.0 if unit_gain else cumulative_gain(
-            tier, radio.array_elements, params.vn_array_elements)
-        pl = path_loss(tier, True, d3d, radio.carrier_hz, params)
-        out[:, cols] = snr_db(radio.tx_power_dbm, gain, pl, radio.bandwidth_hz,
-                              params.noise_psd_dbm_per_hz)
+        log_d2 = np.log10(np.maximum(dx * dx + dy * dy + dz * dz, d2_min))
+        out[:, cols] = log_d2 * -b_los + a_los
     return out
 
 

@@ -33,6 +33,48 @@ def shannon(snr_value_db, bandwidth_hz, threshold_db=-5.0):
     return bandwidth_hz * math.log2(1.0 + 10.0 ** (snr_value_db / 10.0))
 
 
+def budget_snr_db(snapshot, params, los):
+    """The documented link budget of every link of ``snapshot`` in one LOS
+    state, written out term by term: tx + 10*log10(gain) - PL - (N0 +
+    10*log10(B)), PL at d = max(d3d, min_distance_m), in NLOS the larger of
+    the LOS and NLOS path losses. Returns (SNR, d3d, the NLOS links whose
+    path loss is the LOS one)."""
+    p = params
+    vn, bs, lte = snapshot.vn_xy, snapshot.bs_xy, snapshot.is_lte
+    d2d = np.hypot(vn[:, 0, None] - bs[:, 0], vn[:, 1, None] - bs[:, 1])
+    d3d = np.hypot(d2d, p.vn_height_m - p.bs_height_m)
+    d = np.maximum(d3d, p.min_distance_m)
+    pl_los, pl_nlos, gain_db = np.empty(d.shape), np.empty(d.shape), np.empty(d.shape)
+    log_km = np.log10(d[:, lte] / 1000.0)
+    pl_los[:, lte] = p.lte_pl_los_intercept_db + p.lte_pl_los_distance_slope_db * log_km
+    pl_nlos[:, lte] = p.lte_pl_nlos_intercept_db + p.lte_pl_nlos_distance_slope_db * log_km
+    gain_db[:, lte] = 0.0
+    log_m, log_ghz = np.log10(d[:, ~lte]), math.log10(p.mmw.carrier_hz / 1e9)
+    pl_los[:, ~lte] = (p.mmw_pl_los_intercept_db + p.mmw_pl_los_distance_slope_db * log_m
+                       + p.mmw_pl_los_frequency_slope_db * log_ghz)
+    pl_nlos[:, ~lte] = (p.mmw_pl_nlos_intercept_db + p.mmw_pl_nlos_distance_slope_db * log_m
+                        + p.mmw_pl_nlos_frequency_slope_db * log_ghz
+                        - p.mmw_pl_nlos_height_slope_db * (p.vn_height_m - 1.5))
+    gain_db[:, ~lte] = 10.0 * math.log10(p.mmw.array_elements * p.vn_array_elements)
+    tx = np.where(lte, p.lte.tx_power_dbm, p.mmw.tx_power_dbm)
+    noise = p.noise_psd_dbm_per_hz + 10.0 * np.log10(
+        np.where(lte, p.lte.bandwidth_hz, p.mmw.bandwidth_hz))
+    pl = pl_los if los else np.maximum(pl_los, pl_nlos)
+    floored = np.zeros(d.shape, dtype=bool) if los else pl_nlos < pl_los
+    return tx + gain_db - pl - noise, d3d, floored
+
+
+def with_vehicles_near_stations(snapshot):
+    """``snapshot`` plus one vehicle 0, 5, 10 and 25 m from each station."""
+    offsets = np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 0.0], [20.0, 15.0]])
+    near = (snapshot.bs_xy[:, None, :] + offsets).reshape(-1, 2)
+    k = near.shape[0]
+    return replace(snapshot, vn_xy=np.concatenate([snapshot.vn_xy, near]),
+                   class_k=np.concatenate([snapshot.class_k, np.ones(k, dtype=int)]),
+                   required_rate_bps=np.concatenate([snapshot.required_rate_bps,
+                                                     np.full(k, 1e6)]))
+
+
 class TestLosProbability:
     def test_lte_zero_distance_is_los(self):
         # 0.018/0 divides by zero to inf, which the min caps at 1
@@ -203,6 +245,27 @@ class TestLinkTable:
         table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         assert table.n_vn and table.n_bs
         assert np.array_equal(table.snr_db, los_snr_db(snap, cfg.channel))
+
+    @pytest.mark.parametrize("min_distance_m", [1.0, 40.0])
+    @pytest.mark.parametrize("los", [True, False], ids=["LOS", "NLOS"])
+    @pytest.mark.parametrize("lam", [4.0, 40.0, 80.0])
+    def test_snr_is_the_documented_budget(self, lam, los, min_distance_m):
+        # the table's affine laws agree with the budget written out term by
+        # term to 1e-9 dB, on every link of a table forced to one LOS state
+        params = ChannelParams(min_distance_m=min_distance_m,
+                               los_probability_override=float(los))
+        cfg = ScenarioConfig(channel=params)
+        rng = np.random.default_rng(int(lam))
+        snap = with_vehicles_near_stations(build_snapshot(cfg, lam, rng))
+        table = build_link_table(snap, rng, params, cfg.snr_threshold_db)
+        want, d3d, floored = budget_snr_db(snap, params, los)
+        assert np.max(np.abs(table.snr_db - want)) <= 1e-9
+        # the vehicles near stations give links below min_distance_m (the 3D
+        # distance is at least the 28 m height gap) and, in NLOS, LTE links
+        # within 32.4 m whose NLOS path loss is floored at the LOS one
+        assert (d3d < min_distance_m).any() == (min_distance_m > 28.0)
+        assert floored.any() == (not los and min_distance_m < 32.4)
+        assert snap.n_lte and table.n_bs > snap.n_lte
 
     def test_gains_by_tier(self, rng):
         # with every link in LOS the SNR above the unit-gain budget is the

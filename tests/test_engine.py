@@ -446,7 +446,8 @@ class TestSteadyState:
         # usually covers more than one move
         assert len(calls) <= 1 + sum(moves)
         if policy is Policy.MS:
-            assert len(calls) == 1
+            # MS reads its load-free choices off the table
+            assert calls == []
             assert picks == 3 * table.n_vn
         else:
             assert 0 < sum(moves) < 0.1 * picks
@@ -704,6 +705,18 @@ class TestRunOnce:
         assert np.all(result.rate_bps[unattached] == 0.0)
         assert np.all(result.rate_bps[~unattached] > 0.0)
 
+    def test_ms_run_evaluates_the_rule_once(self, monkeypatch):
+        # the attach evaluates MS for every vehicle; the loop does not again
+        kernel, rows = POLICY_KERNELS[Policy.MS], []
+
+        def counted(*args):
+            rows.append(args[3].size)
+            return kernel(*args)
+
+        monkeypatch.setitem(POLICY_KERNELS, Policy.MS, counted)
+        result = run_once(ScenarioConfig(), 40.0, Policy.MS,
+                          derive_run_seed(1, 40.0, Policy.MS, 0))
+        assert rows == [result.n_vn]
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_layers_on_one_generator_compose_to_run_once(self, policy):
