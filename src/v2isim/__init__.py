@@ -4,11 +4,8 @@ from ._version import __version__
 from .channel import (
     LinkTable,
     build_link_table,
-    cumulative_gain,
     los_probability_lte,
     los_probability_mmw,
-    path_loss,
-    snr_db,
 )
 from .config import (
     ChannelParams,
@@ -49,10 +46,9 @@ __all__ = [
     "ConfigError", "CSV_COLUMNS", "LinkTable", "NO_BS", "POLICY_KERNELS",
     "Policy", "RunMetrics", "RunResult", "ScenarioConfig", "Snapshot", "Tier",
     "TierRadio", "build_link_table", "build_snapshot", "compute_run_metrics",
-    "config_from_dict", "cumulative_gain", "derive_run_seed",
-    "initial_attach", "jain_index", "load_config", "los_probability_lte",
-    "los_probability_mmw", "lte_ratio", "mean_rate_per_class", "path_loss",
-    "realized_rates", "run_campaign", "run_once", "run_spec",
-    "satisfaction_ratio", "snr_db", "steady_state", "summarize",
+    "config_from_dict", "derive_run_seed", "initial_attach", "jain_index",
+    "load_config", "los_probability_lte", "los_probability_mmw", "lte_ratio",
+    "mean_rate_per_class", "realized_rates", "run_campaign", "run_once",
+    "run_spec", "satisfaction_ratio", "steady_state", "summarize",
     "worst_decile_mean", "write_results",
 ]

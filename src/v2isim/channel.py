@@ -9,13 +9,12 @@ carrier and gain are scalars taken from the tier's ``ChannelParams``
 entries; only the LOS state and the distances vary per link, and neither is
 kept once the SNR is known. The budget, tx + gain - path loss - noise with
 the TR 38.901-style path loss of the clamped 3D distance d, is affine in
-l = log10(d*d) in each LOS state, so ``_snr_law`` folds it into four scalars
-per tier and the build evaluates a - b * l on each link, one tier at a time:
-the LTE tier's few columns in one block of every vehicle, the mmWave tier in
-blocks of vehicles. ``path_loss``, ``cumulative_gain`` and ``snr_db`` give
-the terms of one link's budget; the build's laws are made from the same
-coefficients, so the two agree to rounding (within 1e-9 dB). The parameters
-come from a checked ``ScenarioConfig``, so nothing here checks them again.
+l = log10(d*d) in each LOS state, so ``_snr_law``, the only definition of
+the budget, folds it into four scalars per tier, and the build evaluates
+a - b * l on each link, one tier at a time: the LTE tier's few columns in
+one block of every vehicle, the mmWave tier in blocks of vehicles. The
+parameters come from a checked ``ScenarioConfig``, so nothing here checks
+them again.
 """
 from __future__ import annotations
 
@@ -47,68 +46,33 @@ def los_probability_mmw(d_2d_m):
     return near + np.exp(-d_2d_m / 36.0) * (1.0 - near)
 
 
-def _path_loss_law(tier: Tier, carrier_hz: float, params: ChannelParams):
-    """The tier's LOS and NLOS path loss in dB as two affine laws of
-    l = log10(d*d), d the clamped 3D distance in meters: PL = c + b * l,
-    returned as (c_los, b_los, c_nlos, b_nlos). Each b is the model's
-    distance slope halved; the carrier term, the NLOS height term and, on
-    LTE, the change to kilometers (log10(d / 1000) = l / 2 - 3) are folded
-    into the c."""
-    p = params
-    if tier is Tier.LTE:
-        return (p.lte_pl_los_intercept_db - 3.0 * p.lte_pl_los_distance_slope_db,
-                p.lte_pl_los_distance_slope_db / 2.0,
-                p.lte_pl_nlos_intercept_db - 3.0 * p.lte_pl_nlos_distance_slope_db,
-                p.lte_pl_nlos_distance_slope_db / 2.0)
-    log_f = math.log10(carrier_hz / 1e9)  # frequency in GHz
-    return (p.mmw_pl_los_intercept_db + p.mmw_pl_los_frequency_slope_db * log_f,
-            p.mmw_pl_los_distance_slope_db / 2.0,
-            p.mmw_pl_nlos_intercept_db + p.mmw_pl_nlos_frequency_slope_db * log_f
-            - p.mmw_pl_nlos_height_slope_db * (p.vn_height_m - 1.5),
-            p.mmw_pl_nlos_distance_slope_db / 2.0)
-
-
-def path_loss(tier: Tier, los, d_3d_m, carrier_hz: float, params: ChannelParams):
-    """Log-distance path loss in dB for one tier and LOS state.
-
-    Distances below params.min_distance_m are clamped. The NLOS value is
-    floored at the LOS value so the NLOS >= LOS ordering holds at every
-    distance. The coefficients are the ones the table build reads
-    (``_path_loss_law``).
-    """
-    c_los, b_los, c_nlos, b_nlos = _path_loss_law(tier, carrier_hz, params)
-    d = np.maximum(d_3d_m, params.min_distance_m)
-    log_d2 = np.log10(d * d)
-    pl_los = c_los + b_los * log_d2
-    return np.where(los, pl_los, np.maximum(pl_los, c_nlos + b_nlos * log_d2))
-
-
-def cumulative_gain(tier: Tier, bs_elements: int, vn_elements: int) -> float:
-    """Linear antenna gain of one link: 1 for omnidirectional LTE, the
-    product of the array element counts for beamformed mmWave."""
-    return 1.0 if tier is Tier.LTE else float(bs_elements * vn_elements)
-
-
-def snr_db(tx_power_dbm, gain_linear, path_loss_db, bandwidth_hz,
-           noise_psd_dbm_per_hz):
-    """Downlink SNR in dB: tx + gain - path loss - thermal noise over the band."""
-    noise_dbm = noise_psd_dbm_per_hz + 10.0 * np.log10(bandwidth_hz)
-    return tx_power_dbm + 10.0 * np.log10(gain_linear) - path_loss_db - noise_dbm
-
-
 def _snr_law(tier: Tier, params: ChannelParams) -> tuple[float, float, float, float]:
     """The SNR in dB of a link of the tier as two affine laws of
     l = log10(max(d*d, min_distance_m**2)), d the 3D distance in meters:
     a_los - b_los * l in LOS and min(that, a_nlos - b_nlos * l) in NLOS,
-    returned as (a_los, b_los, a_nlos, b_nlos). The a fold transmit power,
-    array gain and the noise over the band (``snr_db`` at a path loss of 0)
-    into the path-loss intercepts of ``path_loss``."""
-    radio = params.lte if tier is Tier.LTE else params.mmw
-    gain = cumulative_gain(tier, radio.array_elements, params.vn_array_elements)
-    top = float(snr_db(radio.tx_power_dbm, gain, 0.0, radio.bandwidth_hz,
-                       params.noise_psd_dbm_per_hz))
-    c_los, b_los, c_nlos, b_nlos = _path_loss_law(tier, radio.carrier_hz, params)
-    return top - c_los, b_los, top - c_nlos, b_nlos
+    returned as (a_los, b_los, a_nlos, b_nlos). The budget is tx + gain -
+    path loss - noise over the band, all in dB. In each LOS state the tier's
+    path loss is c + b * l: b is the model's distance slope halved, and c
+    its intercept with the carrier term, the NLOS height term and, on LTE,
+    the change to kilometers (log10(d / 1000) = l / 2 - 3) folded in, so
+    a = tx + gain - noise - c. The min keeps an NLOS path loss from falling
+    below the LOS one."""
+    p = params
+    if tier is Tier.LTE:
+        radio, gain = p.lte, 1.0  # omnidirectional
+        c_los = p.lte_pl_los_intercept_db - 3.0 * p.lte_pl_los_distance_slope_db
+        c_nlos = p.lte_pl_nlos_intercept_db - 3.0 * p.lte_pl_nlos_distance_slope_db
+        slope_los, slope_nlos = p.lte_pl_los_distance_slope_db, p.lte_pl_nlos_distance_slope_db
+    else:
+        radio, gain = p.mmw, float(p.mmw.array_elements * p.vn_array_elements)
+        log_f = math.log10(radio.carrier_hz / 1e9)  # frequency in GHz
+        c_los = p.mmw_pl_los_intercept_db + p.mmw_pl_los_frequency_slope_db * log_f
+        c_nlos = (p.mmw_pl_nlos_intercept_db + p.mmw_pl_nlos_frequency_slope_db * log_f
+                  - p.mmw_pl_nlos_height_slope_db * (p.vn_height_m - 1.5))
+        slope_los, slope_nlos = p.mmw_pl_los_distance_slope_db, p.mmw_pl_nlos_distance_slope_db
+    noise_dbm = p.noise_psd_dbm_per_hz + 10.0 * np.log10(radio.bandwidth_hz)
+    top = float(radio.tx_power_dbm + 10.0 * np.log10(gain) - noise_dbm)
+    return top - c_los, slope_los / 2.0, top - c_nlos, slope_nlos / 2.0
 
 
 class LinkTable:
@@ -137,12 +101,8 @@ class LinkTable:
 
     def rates_at(self, rows, cols) -> np.ndarray:
         """unit_rate_bps[rows, cols], computed from the SNR of those links
-        alone by the formula the full matrix is built with."""
-        return self.unit_rates(self.snr_db[rows, cols], cols)
-
-    def unit_rates(self, snr: np.ndarray, cols) -> np.ndarray:
-        """The rate at load 1 of links of SNR ``snr`` to stations ``cols``:
-        bandwidth * log2(1 + snr_linear), 0 below the threshold."""
+        alone: bandwidth * log2(1 + snr_linear), 0 below the threshold."""
+        snr = self.snr_db[rows, cols]
         with np.errstate(over="ignore"):
             rate = self.bandwidth_hz[cols] * np.log2(1.0 + 10.0 ** (snr / 10.0))
         return np.where(snr < self.snr_threshold_db, 0.0, rate)

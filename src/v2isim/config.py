@@ -4,7 +4,11 @@ All physical quantities carry explicit unit suffixes in their key names
 (_db, _dbm, _hz, _bps, _km2, _m) so a config file can never be ambiguous
 about units. A ScenarioConfig checks itself when it is built, on every
 path (JSON, keyword arguments, ``dataclasses.replace``), so the layers
-that read one trust its values.
+that read one trust its values. The schema is the dataclasses' fields,
+walked twice: ``config_from_dict`` lays a JSON document's objects over the
+defaults and turns its arrays into tuples, and the constructor gives every
+value its field's type, rejecting a non-finite float, before the range
+checks of ``validate_config``. The echo is ``dataclasses.asdict``.
 """
 from __future__ import annotations
 
@@ -13,9 +17,10 @@ import json
 import math
 import operator
 import os
+import sys
 import types
-from dataclasses import dataclass, field, fields, is_dataclass, replace
-from typing import IO, Any, Iterator, Union, get_args, get_origin, get_type_hints
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from typing import IO, Any, Union, get_args, get_origin, get_type_hints
 
 POLICY_NAMES = ("MS", "MR", "RA")
 N_CLASSES = 4
@@ -119,15 +124,14 @@ class ScenarioConfig:
     def to_dict(self) -> dict[str, Any]:
         """The resolved configuration as a JSON-ready document, keyed by the
         dataclass field names."""
-        return _to_dict(self.resolved())
+        return asdict(self.resolved())
 
 
-def _to_dict(obj: Any) -> Any:
-    if is_dataclass(obj):
-        return {f.name: _to_dict(getattr(obj, f.name)) for f in fields(obj)}
-    if isinstance(obj, tuple):
-        return [_to_dict(v) for v in obj]
-    return obj
+def density_key(lambda_m: float) -> int:
+    """The integer a density is known by in the run seeds: lambda_m in
+    millionths per km^2, rounded. Two densities of one grid must not share
+    it, or their cells would repeat the same runs."""
+    return int(round(lambda_m * 1e6))
 
 
 @functools.cache
@@ -138,8 +142,10 @@ def _field_types(cls: type) -> dict[str, Any]:
 
 
 def _parse(value: Any, kind: Any, base: Any, path: str) -> Any:
-    """Convert one JSON value to the field type ``kind``; ``base`` is the
-    field's current value, which a nested object's absent keys keep."""
+    """Lay one JSON value over ``base``, the current value of a field of
+    type ``kind``: an object over a dataclass, whose absent keys keep their
+    values and whose unknown keys are rejected, an array as a tuple, and
+    any other value as it is, for the constructor to type."""
     if is_dataclass(kind):
         if not isinstance(value, dict):
             raise ConfigError(f"{path or 'top level'}: expected an object")
@@ -151,29 +157,30 @@ def _parse(value: Any, kind: Any, base: Any, path: str) -> Any:
             key: _parse(item, hints[key], getattr(base, key),
                         f"{path}.{key}" if path else key)
             for key, item in value.items()})
-    return _leaf(value, kind, path, (list, tuple))
+    return tuple(value) if isinstance(value, list) else value
 
 
-def _leaf(value: Any, kind: Any, path: str, sequences: tuple[type, ...]) -> Any:
+def _leaf(value: Any, kind: Any, path: str) -> Any:
     """``value`` as the type ``kind`` of a field that is not a dataclass: a
-    number (an int or a float, not a bool) for float, exactly an int or a str
-    for int and str, None or the type for an optional field, and one of
-    ``sequences`` of such entries for a tuple."""
+    finite number (an int or a float, not a bool) for float, exactly an int
+    or a str for int and str, None or the type for an optional field, and a
+    tuple of such entries for a tuple."""
     if get_origin(kind) in (Union, types.UnionType):  # X | None
         if value is None:
             return None
         kind = next(arg for arg in get_args(kind) if arg is not type(None))
     if get_origin(kind) is tuple:
         args = get_args(kind)
-        if not isinstance(value, sequences):
-            raise ConfigError(f"{path}: expected a {sequences[0].__name__}, got {value!r}")
+        if not isinstance(value, tuple):
+            raise ConfigError(f"{path}: expected a tuple, got {value!r}")
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
-        typed = tuple(_leaf(v, args[0], f"{path}[{i}]", sequences)
-                      for i, v in enumerate(value))
-        same = isinstance(value, tuple) and all(map(operator.is_, typed, value))
-        return value if same else typed
+        typed = tuple(_leaf(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+        return value if all(map(operator.is_, typed, value)) else typed
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        # NaN fails the comparison, and so does an int too large for a float
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{path}: must be finite")
         return float(value)
     if kind in (int, str) and type(value) is kind:
         return value
@@ -183,15 +190,14 @@ def _leaf(value: Any, kind: Any, path: str, sequences: tuple[type, ...]) -> Any:
 
 def _typed_fields(obj: Any, prefix: str = "") -> dict[str, Any]:
     """The fields of the config dataclass ``obj`` whose values change when
-    made their field's type by the JSON parser's rules (an int in a float
-    field becomes a float), except that a tuple field takes a tuple only.
+    made their field's type (an int in a float field becomes a float).
     Raise ConfigError naming the first field holding a value its type does
     not take."""
     changed = {}
     for key, kind in _field_types(type(obj)).items():
         value, path = getattr(obj, key), prefix + key
         if not is_dataclass(kind):
-            typed = _leaf(value, kind, path, (tuple,))
+            typed = _leaf(value, kind, path)
         elif isinstance(value, kind):
             inner = _typed_fields(value, path + ".")
             typed = replace(value, **inner) if inner else value
@@ -206,8 +212,8 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document.
 
     The accepted keys and their types are the ScenarioConfig fields. Absent
-    keys take the defaults of Table-I-style parameters; unknown keys and
-    wrong types are rejected with their dotted path.
+    keys take the defaults of Table-I-style parameters; unknown keys, wrong
+    types and invalid values are rejected with their dotted path.
     """
     return _parse(doc, ScenarioConfig, ScenarioConfig(), "")
 
@@ -220,13 +226,15 @@ def _require(cond: bool, msg: str) -> None:
 def validate_config(cfg: ScenarioConfig) -> None:
     """Raise ConfigError naming the offending key on any invariant violation;
     ScenarioConfig runs it on construction, after giving every value its
-    field's type, so the checks below compare numbers and strings only."""
+    field's type, so the checks below compare finite numbers and strings
+    only."""
     _require(cfg.area_km2 > 0, "area_km2: must be > 0")
     _require(cfg.lte_density_per_km2 >= 0, "lte_density_per_km2: must be >= 0")
     _require(len(cfg.mmw_density_grid_per_km2) > 0, "mmw_density_grid_per_km2: must be non-empty")
-    _require(all(math.isfinite(d) and d >= 0 for d in cfg.mmw_density_grid_per_km2),
-             "mmw_density_grid_per_km2: densities must be finite and >= 0")
-    _require(len(set(cfg.mmw_density_grid_per_km2)) == len(cfg.mmw_density_grid_per_km2),
+    _require(all(d >= 0 for d in cfg.mmw_density_grid_per_km2),
+             "mmw_density_grid_per_km2: densities must be >= 0")
+    _require(len(set(map(density_key, cfg.mmw_density_grid_per_km2)))
+             == len(cfg.mmw_density_grid_per_km2),
              "mmw_density_grid_per_km2: duplicate entry")
     _require(len(cfg.policies) > 0, "policies: must be non-empty")
     for p in cfg.policies:
@@ -245,11 +253,10 @@ def validate_config(cfg: ScenarioConfig) -> None:
              "class_probabilities: must sum to 1 within 1e-9")
     _require(cfg.no_change_window_multiplier > 0, "no_change_window_multiplier: must be > 0")
     _require(cfg.pick_cap_multiplier > 0, "pick_cap_multiplier: must be > 0")
-    if math.isfinite(cfg.area_km2):  # an infinite area is named below
-        x_min, x_max, y_min, y_max = cfg.resolved_measurement_region()
-        side = cfg.area_side_m
-        _require(0 <= x_min < x_max <= side and 0 <= y_min < y_max <= side,
-                 "measurement_region_m: must be a non-empty rectangle inside the area")
+    x_min, x_max, y_min, y_max = cfg.resolved_measurement_region()
+    side = cfg.area_side_m
+    _require(0 <= x_min < x_max <= side and 0 <= y_min < y_max <= side,
+             "measurement_region_m: must be a non-empty rectangle inside the area")
     ch = cfg.channel
     for tier, radio in (("lte", ch.lte), ("mmw", ch.mmw)):
         _require(radio.bandwidth_hz > 0, f"channel.{tier}.bandwidth_hz: must be > 0")
@@ -264,21 +271,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
     if ch.los_probability_override is not None:
         _require(0.0 <= ch.los_probability_override <= 1.0,
                  "channel.los_probability_override: must lie in [0, 1]")
-    for key, value in _float_leaves(cfg):
-        _require(math.isfinite(value), f"{key}: must be finite")
-
-
-def _float_leaves(obj: Any, prefix: str = "") -> Iterator[tuple[str, float]]:
-    """(dotted key, value) of every float of a config, tuple entries included."""
-    for f in fields(obj):
-        key, value = prefix + f.name, getattr(obj, f.name)
-        if is_dataclass(value):
-            yield from _float_leaves(value, key + ".")
-        elif isinstance(value, tuple):
-            yield from ((f"{key}[{i}]", v) for i, v in enumerate(value)
-                        if isinstance(v, float))
-        elif isinstance(value, float):
-            yield key, value
 
 
 def load_config(source: str | os.PathLike[str] | IO[str]) -> ScenarioConfig:
@@ -287,8 +279,6 @@ def load_config(source: str | os.PathLike[str] | IO[str]) -> ScenarioConfig:
         text = source.read()  # type: ignore[union-attr]
         name = getattr(source, "name", "<stream>")
     elif source == "-":
-        import sys
-
         text = sys.stdin.read()
         name = "<stdin>"
     else:

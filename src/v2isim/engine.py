@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .channel import LinkTable, build_link_table
-from .config import POLICY_NAMES, ScenarioConfig
+from .config import POLICY_NAMES, ScenarioConfig, density_key
 from .geometry import Snapshot, build_snapshot
 from .policy import NO_BS, POLICY_KERNELS, Policy, thresholds, unsettled
 
@@ -295,10 +295,9 @@ def run_once(config: ScenarioConfig, lambda_m: float, policy: Policy,
 def derive_run_seed(master_seed: int, lambda_m: float, policy: Policy,
                     run_index: int) -> np.random.SeedSequence:
     """Deterministic per-run seed from the campaign cell coordinates."""
-    lambda_key = int(round(lambda_m * 1e6))
     policy_key = list(Policy).index(policy)
     return np.random.SeedSequence(
-        entropy=(master_seed, lambda_key, policy_key, run_index))
+        entropy=(master_seed, density_key(lambda_m), policy_key, run_index))
 
 
 def run_spec(args: tuple[ScenarioConfig, float, Policy, int]) -> RunResult:

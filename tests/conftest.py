@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from v2isim import LinkTable, Tier, channel
+from v2isim import ChannelParams, LinkTable, Tier, TierRadio, channel
 
 
 def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,
@@ -40,6 +40,18 @@ def los_snr_db(snapshot, params, unit_gain=False) -> np.ndarray:
         log_d2 = np.log10(np.maximum(dx * dx + dy * dy + dz * dz, d2_min))
         out[:, cols] = log_d2 * -b_los + a_los
     return out
+
+
+def flat_mmw_params(tx_power_dbm, bs_elements, vn_elements, path_loss_db,
+                    bandwidth_hz) -> ChannelParams:
+    """Channel parameters whose mmWave LOS path loss is ``path_loss_db`` at
+    every distance (a 1 GHz carrier, so no frequency term, and no distance
+    slope), so that the LOS intercept of ``channel._snr_law`` for the tier
+    is the whole link budget: tx + gain - path loss - noise over the band."""
+    return ChannelParams(vn_array_elements=vn_elements,
+                         mmw=TierRadio(tx_power_dbm, bandwidth_hz, 1e9, bs_elements),
+                         mmw_pl_los_intercept_db=path_loss_db,
+                         mmw_pl_los_distance_slope_db=0.0)
 
 
 @pytest.fixture

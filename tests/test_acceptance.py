@@ -23,12 +23,13 @@ from v2isim import (
     jain_index,
     realized_rates,
     run_campaign,
+    Tier,
     run_once,
-    snr_db,
     steady_state,
 )
+from v2isim import channel
 from v2isim.metrics import compute_run_metrics, summarize
-from conftest import make_table
+from conftest import flat_mmw_params, make_table
 import oracles
 
 N_SIM = 200
@@ -303,10 +304,15 @@ def prop_rate_load_doubling_halves_exactly(snr, bw, load):
 
 
 @PROPERTY_SETTINGS
-@given(tx=st.floats(-10.0, 50.0), gain=st.floats(1.0, 4096.0),
-       pl=st.floats(30.0, 180.0), bw=st.floats(1e5, 4e9))
-def prop_snr_db_linear_roundtrip(tx, gain, pl, bw):
-    value = snr_db(tx, gain, pl, bw, -174.0)
+@given(tx=st.floats(-10.0, 50.0), bs_elements=st.integers(1, 64),
+       vn_elements=st.integers(1, 64), pl=st.floats(30.0, 180.0),
+       bw=st.floats(1e5, 4e9))
+def prop_snr_db_linear_roundtrip(tx, bs_elements, vn_elements, pl, bw):
+    # the budget as the table build folds it: the LOS intercept of the
+    # mmWave law at a path loss of pl at every distance
+    params = flat_mmw_params(tx, bs_elements, vn_elements, pl, bw)
+    value = channel._snr_law(Tier.MMWAVE, params)[0]
+    gain = float(bs_elements * vn_elements)
     linear = 10.0 ** (value / 10.0)
     direct = (10.0 ** (tx / 10.0) * gain
               / (10.0 ** (pl / 10.0) * 10.0 ** (-174.0 / 10.0) * bw))

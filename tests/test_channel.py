@@ -8,21 +8,18 @@ from v2isim import (
     AssociationState,
     ChannelParams,
     ScenarioConfig,
+    Snapshot,
     Tier,
     build_link_table,
     build_snapshot,
-    cumulative_gain,
     los_probability_lte,
     los_probability_mmw,
-    path_loss,
     realized_rates,
-    snr_db,
 )
 from v2isim import channel
-from conftest import los_snr_db, make_table
+from conftest import flat_mmw_params, los_snr_db, make_table
 
 PARAMS = ChannelParams()
-NOISE = PARAMS.noise_psd_dbm_per_hz
 
 
 def shannon(snr_value_db, bandwidth_hz, threshold_db=-5.0):
@@ -112,78 +109,160 @@ class TestLosProbability:
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
 
+def law_snr_db(tier, los, d_3d_m, params=PARAMS):
+    """The SNR of links of the tier at 3D distances ``d_3d_m`` in one LOS
+    state, read off ``channel._snr_law`` the way the table build reads it."""
+    a_los, b_los, a_nlos, b_nlos = channel._snr_law(tier, params)
+    d = np.asarray(d_3d_m, dtype=float)
+    log_d2 = np.log10(np.maximum(d * d, params.min_distance_m ** 2))
+    snr = a_los - b_los * log_d2
+    return snr if los else np.minimum(snr, a_nlos - b_nlos * log_d2)
+
+
+def law_path_loss_db(tier, los, d_3d_m):
+    """The tier's path loss at ``d_3d_m``: minus the law's SNR when every
+    other term of the budget is 0 dB (0 dBm, unit gain, 1 Hz of noise at
+    0 dBm/Hz)."""
+    zero = dict(tx_power_dbm=0.0, bandwidth_hz=1.0)
+    params = replace(PARAMS, noise_psd_dbm_per_hz=0.0, vn_array_elements=1,
+                     lte=replace(PARAMS.lte, **zero),
+                     mmw=replace(PARAMS.mmw, array_elements=1, **zero))
+    return -law_snr_db(tier, los, d_3d_m, params)
+
+
+def table_near_stations(offsets_m, params):
+    """The table, every link in LOS, of one LTE and one mmWave station 1 km
+    apart and one vehicle at each horizontal offset from each station; row
+    k * len(offsets_m) + i is the vehicle at offset i from station k."""
+    bs = np.array([[0.0, 0.0], [1000.0, 0.0]])
+    vn = (bs[:, None, :] + np.column_stack([offsets_m, np.zeros(len(offsets_m))])).reshape(-1, 2)
+    m = vn.shape[0]
+    snap = Snapshot(bs, 1, vn, np.ones(m, dtype=int), np.full(m, 1e6),
+                    (0.0, 1000.0, 0.0, 1000.0))
+    return build_link_table(snap, np.random.default_rng(0),
+                            replace(params, los_probability_override=1.0), -5.0)
+
+
 class TestPathLoss:
+    # the path loss read off the law; the build's NLOS floor and distance
+    # clamp are checked on built tables
     def test_log_distance_doubling(self):
         # doubling distance adds 10*alpha*log10(2) dB with alpha = 2.1
-        pl1 = path_loss(Tier.MMWAVE, True, 100.0, 28e9, PARAMS)
-        pl2 = path_loss(Tier.MMWAVE, True, 200.0, 28e9, PARAMS)
+        pl1, pl2 = law_path_loss_db(Tier.MMWAVE, True, [100.0, 200.0])
         assert pl2 - pl1 == pytest.approx(21.0 * math.log10(2.0), rel=1e-12)
 
     def test_mmw_nlos_exceeds_los(self):
-        los = path_loss(Tier.MMWAVE, True, 100.0, 28e9, PARAMS)
-        nlos = path_loss(Tier.MMWAVE, False, 100.0, 28e9, PARAMS)
+        los = law_path_loss_db(Tier.MMWAVE, True, 100.0)
+        nlos = law_path_loss_db(Tier.MMWAVE, False, 100.0)
         assert nlos > los
         assert nlos - los > 15.0
 
     def test_nlos_never_below_los_any_distance(self):
-        d = np.geomspace(1.0, 5000.0, 400)
-        for tier, carrier in ((Tier.LTE, 2.4e9), (Tier.MMWAVE, 28e9)):
-            los = path_loss(tier, np.ones_like(d, dtype=bool), d, carrier, PARAMS)
-            nlos = path_loss(tier, np.zeros_like(d, dtype=bool), d, carrier, PARAMS)
-            assert np.all(nlos >= los)
+        # the same deployment and uniforms in NLOS and then in LOS: no NLOS
+        # link has a higher SNR, and the floor is met on LTE near a station
+        def build(los):
+            cfg = ScenarioConfig(channel=ChannelParams(los_probability_override=los))
+            rng = np.random.default_rng(3)
+            snap = with_vehicles_near_stations(build_snapshot(cfg, 40.0, rng))
+            return build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+
+        nlos, los = build(0.0).snr_db, build(1.0).snr_db
+        assert np.all(nlos <= los)
+        assert (nlos == los).any() and (nlos < los).any()
 
     def test_lte_los_golden_value(self):
         # 103.4 + 24.2*log10(0.1 km) evaluated by hand
-        assert path_loss(Tier.LTE, True, 100.0, 2.4e9, PARAMS) == pytest.approx(79.2, rel=1e-12)
+        assert law_path_loss_db(Tier.LTE, True, 100.0) == pytest.approx(79.2, rel=1e-12)
 
-    def test_short_distance_clamped(self):
-        assert path_loss(Tier.MMWAVE, True, 0.01, 28e9, PARAMS) == \
-            path_loss(Tier.MMWAVE, True, 1.0, 28e9, PARAMS)
+    @pytest.mark.parametrize("bs_height_m,min_distance_m,offsets_m", [
+        # 3D distance = horizontal offset; clamped up to 1 m
+        (2.0, 1.0, [0.0, 0.01, 0.5, 1.0, 2.0]),
+        # 3D distances 28, 28.4, 29.7 and 34.4 m clamped up to 40 m; 48.8 m
+        (30.0, 40.0, [0.0, 5.0, 10.0, 20.0, 40.0]),
+    ])
+    def test_short_distance_clamped(self, bs_height_m, min_distance_m, offsets_m):
+        params = ChannelParams(bs_height_m=bs_height_m, min_distance_m=min_distance_m)
+        table = table_near_stations(offsets_m, params)
+        k = len(offsets_m)
+        for station in (0, 1):
+            snr = table.snr_db[station * k:(station + 1) * k, station]
+            assert np.all(snr[:-1] == snr[0]) and snr[-1] < snr[0]
 
     def test_positive_at_any_positive_distance(self):
         d = np.geomspace(1.0, 20_000.0, 200)
-        assert np.all(path_loss(Tier.LTE, True, d, 2.4e9, PARAMS) > 0)
-        assert np.all(path_loss(Tier.MMWAVE, True, d, 28e9, PARAMS) > 0)
+        assert np.all(law_path_loss_db(Tier.LTE, True, d) > 0)
+        assert np.all(law_path_loss_db(Tier.MMWAVE, True, d) > 0)
 
 
-class TestGain:
-    def test_lte_unity(self):
-        assert cumulative_gain(Tier.LTE, 1, 16) == 1.0
+class TestSnrLaw:
+    def test_default_law_is_pinned(self):
+        # the four scalars of each tier at the default parameters, to the
+        # bit: a change of one ulp fails here, not only in the golden bytes
+        pinned = {
+            Tier.LTE: ("0x1.d0c240ba69208p+6", "0x1.8333333333333p+3",
+                       "0x1.2094539067c37p+7", "0x1.5666666666666p+4"),
+            Tier.MMWAVE: ("0x1.3f0a13380e715p+6", "0x1.5000000000000p+3",
+                          "0x1.601d37e2b0e5ep+6", "0x1.1a66666666666p+4"),
+        }
+        for tier, want in pinned.items():
+            law = channel._snr_law(tier, PARAMS)
+            assert all(type(x) is float for x in law)
+            assert tuple(x.hex() for x in law) == want, tier
 
-    def test_mmw_element_product(self):
-        assert cumulative_gain(Tier.MMWAVE, 64, 16) == 1024.0
+    @pytest.mark.parametrize("bs_elements,vn_elements", [(64, 16), (1, 1), (64, 1), (10, 1)])
+    def test_gain_is_the_element_product(self, bs_elements, vn_elements):
+        # the mmWave intercepts move by 10*log10(bs * vn): +10 dB per gain
+        # decade; LTE is omnidirectional and reads neither array
+        def law(tier, bs, vn):
+            return channel._snr_law(tier, replace(
+                PARAMS, vn_array_elements=vn, mmw=replace(PARAMS.mmw, array_elements=bs)))
 
-    def test_degenerate_array(self):
-        assert cumulative_gain(Tier.MMWAVE, 1, 1) == 1.0
+        unit = law(Tier.MMWAVE, 1, 1)
+        arrays = law(Tier.MMWAVE, bs_elements, vn_elements)
+        gain_db = 10.0 * math.log10(bs_elements * vn_elements)
+        assert arrays[0] - unit[0] == pytest.approx(gain_db, abs=1e-9)
+        assert arrays[2] - unit[2] == pytest.approx(gain_db, abs=1e-9)
+        assert (arrays[1], arrays[3]) == (unit[1], unit[3])
+        assert law(Tier.LTE, bs_elements, vn_elements) == channel._snr_law(Tier.LTE, PARAMS)
 
+    @pytest.mark.parametrize("tier", list(Tier))
+    def test_double_bandwidth_costs_3db(self, tier):
+        def law(factor):
+            radio = "lte" if tier is Tier.LTE else "mmw"
+            wide = replace(getattr(PARAMS, radio),
+                           bandwidth_hz=factor * getattr(PARAMS, radio).bandwidth_hz)
+            return channel._snr_law(tier, replace(PARAMS, **{radio: wide}))
 
-class TestSnr:
-    def test_gain_decade_adds_10db(self):
-        base = snr_db(27.0, 1.0, 100.0, 1e9, NOISE)
-        assert snr_db(27.0, 10.0, 100.0, 1e9, NOISE) == pytest.approx(base + 10.0, abs=1e-9)
-
-    def test_double_bandwidth_costs_3db(self):
-        base = snr_db(27.0, 1.0, 100.0, 1e9, NOISE)
-        assert snr_db(27.0, 1.0, 100.0, 2e9, NOISE) == pytest.approx(
-            base - 10.0 * math.log10(2.0), abs=1e-9)
+        base, wide = law(1.0), law(2.0)
+        for i in (0, 2):
+            assert wide[i] == pytest.approx(base[i] - 10.0 * math.log10(2.0), abs=1e-9)
 
     def test_link_budget_example(self):
         # 27 dBm + 10log10(1024) - 100 dB - (-174 + 90) dBm
         expected = 27.0 + 10.0 * math.log10(1024.0) - 100.0 + 84.0
-        assert snr_db(27.0, 1024.0, 100.0, 1e9, NOISE) == pytest.approx(expected, abs=1e-9)
+        a_los, b_los, _, _ = channel._snr_law(Tier.MMWAVE,
+                                              flat_mmw_params(27.0, 64, 16, 100.0, 1e9))
+        assert b_los == 0.0
+        assert a_los == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(41.103, abs=1e-3)
 
     def test_db_linear_roundtrip(self, rng):
         for _ in range(200):
             tx = rng.uniform(0.0, 50.0)
-            gain = rng.uniform(1.0, 2000.0)
+            bs, vn = rng.integers(1, 65, size=2)
             pl = rng.uniform(40.0, 160.0)
             bw = rng.uniform(1e6, 2e9)
-            value = snr_db(tx, gain, pl, bw, NOISE)
+            value = channel._snr_law(Tier.MMWAVE, flat_mmw_params(tx, int(bs), int(vn), pl, bw))[0]
             linear = 10.0 ** (value / 10.0)
-            direct = (10.0 ** (tx / 10.0) * gain
+            direct = (10.0 ** (tx / 10.0) * float(bs * vn)
                       / (10.0 ** (pl / 10.0) * 10.0 ** (-174.0 / 10.0) * bw))
             assert abs(linear - direct) / direct < 1e-9
+
+    def test_snr_non_increasing_with_distance_fixed_los(self):
+        d = np.linspace(30.0, 2000.0, 300)
+        for tier in Tier:
+            for los in (True, False):
+                assert np.all(np.diff(law_snr_db(tier, los, d)) <= 1e-12)
 
 
 class TestAchievableRate:
@@ -326,16 +405,6 @@ class TestLinkTable:
         assert table.bandwidth_hz.shape == (table.n_bs,)
         table.unit_rate_bps
         assert set(vars(table)) == held | {"unit_rate_bps"}
-
-    def test_snr_non_increasing_with_distance_fixed_los(self):
-        d = np.linspace(30.0, 2000.0, 300)
-        for tier, carrier, bw, tx, gain in (
-                (Tier.LTE, 2.4e9, 20e6, 46.0, 1.0),
-                (Tier.MMWAVE, 28e9, 1e9, 27.0, 1024.0)):
-            for los in (True, False):
-                pl = path_loss(tier, np.full(d.shape, los), d, carrier, PARAMS)
-                snr = snr_db(tx, gain, pl, bw, NOISE)
-                assert np.all(np.diff(snr) <= 1e-12)
 
     def test_outage_flag_matches_threshold(self):
         table = make_table([[-5.0, -5.001, 3.0]], [1e9] * 3, [False] * 3)

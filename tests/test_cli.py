@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -82,6 +83,19 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "--config", str(path), *FAST)
         assert code == 1
         assert "config error" in err and f"{key}: must be finite" in err
+        assert out == ""
+
+    def test_config_from_stdin(self, capsys, monkeypatch):
+        # --config - reads the document from standard input
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(FAST_CFG)))
+        code, out, _ = run_cli(capsys, "--config", "-", *FAST)
+        assert code == 0
+        assert json.loads(out.splitlines()[1].removeprefix("# config "))["fixed_vn_count"] == 30
+        assert len(data_lines(out)) == 2
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"area_km2": Infinity}'))
+        code, out, err = run_cli(capsys, "--config", "-", *FAST)
+        assert code == 1
+        assert "config error: area_km2: must be finite" in err
         assert out == ""
 
     def test_unwritable_out_is_exit_2(self, capsys, fast_config, tmp_path):

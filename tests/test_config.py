@@ -12,6 +12,7 @@ from v2isim import (
     ScenarioConfig,
     TierRadio,
     config_from_dict,
+    derive_run_seed,
     load_config,
     run_once,
 )
@@ -87,11 +88,34 @@ class TestValidation:
         with pytest.raises(ConfigError, match="lte_density_per_km2"):
             config_from_dict({"lte_density_per_km2": -1})
 
-    @pytest.mark.parametrize("grid", ["[-4]", "[Infinity]", "[4, -Infinity]", "[NaN]"])
-    def test_grid_density_must_be_finite_and_non_negative(self, grid):
+    @pytest.mark.parametrize("grid,message", [
+        ("[-4]", "mmw_density_grid_per_km2: densities must be >= 0"),
+        ("[Infinity]", "mmw_density_grid_per_km2[0]: must be finite"),
+        ("[4, -Infinity]", "mmw_density_grid_per_km2[1]: must be finite"),
+        ("[NaN]", "mmw_density_grid_per_km2[0]: must be finite"),
+    ])
+    def test_grid_density_must_be_finite_and_non_negative(self, grid, message):
+        # a non-finite entry is named by its index before any range check
         doc = io.StringIO('{"mmw_density_grid_per_km2": %s}' % grid)
-        with pytest.raises(ConfigError, match="mmw_density_grid_per_km2: densities"):
+        with pytest.raises(ConfigError) as error:
             load_config(doc)
+        assert str(error.value) == message
+
+    @pytest.mark.parametrize("grid,duplicate", [
+        ((4.0, 4.0), True), ((4.0, 4.0000001), True), ((4.0, 4.0000004), True),
+        ((4.0, 4.000001), False), ((0.0, -0.0), True), ((80.0, 79.9999999), True),
+        ((0.5, 0.5000006), False),
+    ])
+    def test_duplicate_is_a_density_key_the_seeds_share(self, grid, duplicate):
+        # two densities are one cell of the campaign exactly when the run
+        # seeds know them by the same key
+        first, second = (derive_run_seed(1, lam, Policy.MR, 0).entropy for lam in grid)
+        assert (first == second) == duplicate
+        if duplicate:
+            with pytest.raises(ConfigError, match="mmw_density_grid_per_km2: duplicate entry"):
+                ScenarioConfig(mmw_density_grid_per_km2=grid)
+        else:
+            assert ScenarioConfig(mmw_density_grid_per_km2=grid).mmw_density_grid_per_km2 == grid
 
     @pytest.mark.parametrize("key,short", [
         ("class_probabilities", (0.5, 0.5)),
@@ -172,7 +196,9 @@ class TestEcho:
 
     def test_resolved_region_echoed(self):
         doc = config_from_dict({}).to_dict()
-        assert doc["measurement_region_m"] == [250.0, 750.0, 250.0, 750.0]
+        assert doc["measurement_region_m"] == (250.0, 750.0, 250.0, 750.0)
+        # json writes a tuple as an array, so the echo is a JSON document
+        assert json.loads(json.dumps(doc))["measurement_region_m"] == [250.0, 750.0, 250.0, 750.0]
 
 
 def leaf_fields(obj, prefix=""):
@@ -263,8 +289,13 @@ INVALID = [
     ("lte_density_per_km2", -1.0, "lte_density_per_km2: must be >= 0"),
     ("mmw_density_grid_per_km2", (), "mmw_density_grid_per_km2: must be non-empty"),
     ("mmw_density_grid_per_km2", (4.0, -4.0),
-     "mmw_density_grid_per_km2: densities must be finite and >= 0"),
+     "mmw_density_grid_per_km2: densities must be >= 0"),
+    ("mmw_density_grid_per_km2", (4.0, float("inf")),
+     "mmw_density_grid_per_km2[1]: must be finite"),
     ("mmw_density_grid_per_km2", (4.0, 8.0, 4.0), "mmw_density_grid_per_km2: duplicate entry"),
+    # the run seeds key a density by round(lambda * 1e6), so these would be
+    # two rows of the same runs
+    ("mmw_density_grid_per_km2", (4.0, 4.0000001), "mmw_density_grid_per_km2: duplicate entry"),
     ("policies", (), "policies: must be non-empty"),
     ("policies", ("MS", "XX"), "policies: unknown policy 'XX'"),
     ("policies", ("MS", "MS"), "policies: duplicate entry"),
@@ -324,10 +355,20 @@ class TestOneGate:
                 build()
             assert str(error.value) == message, path
 
+    def test_int_too_large_for_a_float_is_not_finite(self):
+        # float() of it raises OverflowError, which would not name the key
+        builds = (lambda: config_from_dict({"area_km2": 10**400}),
+                  lambda: ScenarioConfig(area_km2=10**400),
+                  lambda: replace(ScenarioConfig(), area_km2=-(10**400)))
+        for build in builds:
+            with pytest.raises(ConfigError, match="^area_km2: must be finite$"):
+                build()
+
     def test_no_run_starts_from_an_invalid_config(self):
         # a NaN threshold puts no link in outage, so this run would attach
-        # every vehicle and report converged after one pick
-        with pytest.raises(ConfigError, match="n_sim"):
+        # every vehicle and report converged after one pick; a non-finite
+        # value is named before any range check
+        with pytest.raises(ConfigError, match="snr_threshold_db: must be finite"):
             run_once(ScenarioConfig(no_change_window_multiplier=-5.0,
                                     snr_threshold_db=float("nan"), n_sim=0),
                      40.0, Policy.MR, 0)

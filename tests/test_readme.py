@@ -2,6 +2,8 @@
 import re
 from pathlib import Path
 
+import v2isim
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -18,3 +20,10 @@ def test_library_example_runs(capsys):
         expected = [line.split("  # ", 1)[1] for line in block.splitlines()
                     if "print(" in line]
         assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_mentioned_names_are_exported():
+    # every `v.<name>` the README shows is part of the package's API
+    mentioned = set(re.findall(r"\bv\.(\w+)", README.read_text()))
+    assert mentioned
+    assert sorted(mentioned - set(v2isim.__all__)) == []
