@@ -11,8 +11,12 @@ kept once the SNR is known. The budget, tx + gain - path loss - noise with
 the TR 38.901-style path loss of the clamped 3D distance d, is affine in
 l = log10(d*d) in each LOS state, so ``_snr_law``, the only definition of
 the budget, folds it into four scalars per tier, and the build evaluates
-a - b * l on each link, one tier at a time: the LTE tier's few columns in
-one block of every vehicle, the mmWave tier in blocks of vehicles. The
+a - b * l on each link, one tier at a time: the mmWave tier in blocks of
+vehicles, each block's LOS uniforms drawn for every column just before it
+in the stream of one draw for the whole table, then the LTE tier's few
+columns in one block of every vehicle, from the uniforms kept for them.
+The rate table is filled in the same blocks of vehicles, so the build
+allocates nothing the size of the table but its two outputs. The
 parameters come from a checked ``ScenarioConfig``, so nothing here checks
 them again.
 """
@@ -26,8 +30,8 @@ import numpy as np
 from .config import ChannelParams
 from .geometry import Snapshot, Tier
 
-# vehicles per block of the table build, so that a block's per-link
-# temporaries stay in cache from the distances to the SNR
+# vehicles per block of the table build and of the rate table, so that a
+# block's per-link temporaries stay in cache from the distances to the SNR
 _ROW_BLOCK = 128
 
 
@@ -42,8 +46,13 @@ def los_probability_lte(d_km):
 def los_probability_mmw(d_2d_m):
     """Street-canyon LOS probability of an array of 2D distances in meters:
     1 for d <= 18 m, else 18/d + exp(-d/36) * (1 - 18/d)."""
-    near = np.minimum(18.0 / d_2d_m, 1.0)
-    return near + np.exp(-d_2d_m / 36.0) * (1.0 - near)
+    near = np.divide(18.0, d_2d_m)
+    np.minimum(near, 1.0, out=near)
+    p = np.divide(d_2d_m, -36.0)
+    np.exp(p, out=p)
+    p *= 1.0 - near
+    p += near
+    return p
 
 
 def _snr_law(tier: Tier, params: ChannelParams) -> tuple[float, float, float, float]:
@@ -109,7 +118,12 @@ class LinkTable:
 
     @cached_property
     def unit_rate_bps(self) -> np.ndarray:
-        rate = self.rates_at(slice(None), slice(None))
+        # filled a block of vehicles at a time, so that rates_at's
+        # temporaries are the size of a block, not of the table
+        rate = np.empty(self.snr_db.shape)
+        for start in range(0, self.n_vn, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            rate[rows] = self.rates_at(rows, slice(None))
         rate.setflags(write=False)
         return rate
 
@@ -133,30 +147,44 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
     """Realize every (vehicle, base station) link of one snapshot.
 
     LOS states are Bernoulli draws against the tier's distance-dependent
-    probability, one uniform per link drawn for the whole table in row
-    order, taken once here and never resampled. The SNR is then built one
-    tier's columns at a time, the LTE tier in one block of every vehicle and
-    the mmWave tier in blocks of ``_ROW_BLOCK`` vehicles, from the squared
+    probability, one uniform per link, taken once here and never resampled.
+    The uniforms are drawn in row order, ``_ROW_BLOCK`` vehicles and every
+    column at a time, into one reused buffer: successive row-major blocks
+    are the stream of one draw for the whole table. Each block's mmWave
+    columns are built right after its draw; the LTE columns' uniforms are
+    kept, and the LTE tier's few columns are built after the last block, in
+    one block of every vehicle. A block's SNR is built from the squared
     horizontal distance s = dx*dx + dy*dy of each link: the LOS test reads
     p_los(sqrt(s)), and the SNR is the tier's ``_snr_law`` at
     l = log10(max(s + dz*dz, min_distance_m**2)). The LOS states and path
-    losses are not kept.
+    losses are not kept, and nothing the size of the table is allocated but
+    the SNR.
     """
     vn, bs, n_lte = snapshot.vn_xy, snapshot.bs_xy, snapshot.n_lte
-    m = vn.shape[0]
-    uniform = rng.random(size=(m, bs.shape[0]))
-    snr = np.empty(uniform.shape)
+    m, n = vn.shape[0], bs.shape[0]
+    snr = np.empty((m, n))
     dz = params.vn_height_m - params.bs_height_m
     dz2, d2_min = dz * dz, params.min_distance_m * params.min_distance_m
     override = params.los_probability_override
-    # the LTE tier has a few columns, so one block of every vehicle keeps
-    # its temporaries in cache
-    tiers = ((Tier.LTE, slice(None, n_lte), max(m, 1),
-              lambda d: los_probability_lte(d / 1000.0)),
-             (Tier.MMWAVE, slice(n_lte, None), _ROW_BLOCK, los_probability_mmw))
+    block_uniform = np.empty((min(_ROW_BLOCK, m), n))
+    lte_uniform = np.empty((m, n_lte))
+
+    def draw(rows, k):
+        """The uniforms of the next k vehicles, every column, into the reused
+        block buffer; the LTE columns' are kept, the mmWave columns' returned."""
+        uniform = rng.random(out=block_uniform[:k])
+        lte_uniform[rows] = uniform[:, :n_lte]
+        return uniform[:, n_lte:]
+
+    # the mmWave tier comes first: its blocks draw the uniforms. The LTE
+    # tier has a few columns, so one block of every vehicle keeps its
+    # temporaries in cache
+    tiers = ((Tier.MMWAVE, slice(n_lte, None), _ROW_BLOCK, los_probability_mmw, draw),
+             (Tier.LTE, slice(None, n_lte), max(m, 1),
+              lambda d: los_probability_lte(d / 1000.0), lambda rows, k: lte_uniform[rows]))
     # the LOS probabilities divide by a zero distance, to the limit they meet
     with np.errstate(divide="ignore"):
-        for tier, cols, block, los_probability in tiers:
+        for tier, cols, block, los_probability, uniforms in tiers:
             a_los, b_los, a_nlos, b_nlos = _snr_law(tier, params)
             x, y = bs[cols, 0], bs[cols, 1]
             # the per-block temporaries, reused by every block of the tier
@@ -164,13 +192,15 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
             for start in range(0, m, block):
                 rows = slice(start, start + block)
                 s, log_d2, nlos = buffers[:, :min(block, m - start)]
+                uniform = uniforms(rows, s.shape[0])
                 np.subtract(vn[rows, 0, None], x, out=s)
                 np.multiply(s, s, out=s)
                 np.subtract(vn[rows, 1, None], y, out=log_d2)
                 np.multiply(log_d2, log_d2, out=log_d2)
                 s += log_d2
-                p_los = los_probability(np.sqrt(s)) if override is None else override
-                los = uniform[rows, cols] < p_los
+                p_los = (los_probability(np.sqrt(s, out=log_d2)) if override is None
+                         else override)
+                los = uniform < p_los
                 np.add(s, dz2, out=log_d2)
                 np.maximum(log_d2, d2_min, out=log_d2)
                 np.log10(log_d2, out=log_d2)

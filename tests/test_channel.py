@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -99,6 +100,22 @@ class TestLosProbability:
         expected = 0.18 + math.exp(-100.0 / 36.0) * 0.82
         assert expected == pytest.approx(0.23098474969813537, rel=1e-12)
         assert los_probability_mmw(np.array([100.0]))[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_mmw_is_bit_equal_to_the_written_expression(self):
+        # the in-place evaluation against the expression written out, at
+        # d = 0, at and below the 18 m knee, just above it, and at random
+        # distances out to 1.5 km, in a vector and in a block of links
+        knee = np.nextafter(18.0, np.inf)
+        d = np.concatenate([[0.0], np.linspace(0.0, 18.0, 73),
+                            [knee, np.nextafter(knee, np.inf), 18.0 + 1e-9, 18.0 + 1e-3],
+                            np.random.default_rng(36).uniform(0.0, 1500.0, 4000)])
+        with np.errstate(divide="ignore"):
+            for dist in (d, d.reshape(-1, 2)):
+                near = np.minimum(18.0 / dist, 1.0)
+                expected = near + np.exp(-dist / 36.0) * (1.0 - near)
+                got = los_probability_mmw(dist)
+                assert got.shape == dist.shape
+                assert got.tobytes() == expected.tobytes()
 
     def test_in_unit_interval_out_to_10km(self):
         d_m = np.linspace(0.0, 10_000.0, 5001)
@@ -479,8 +496,13 @@ class TestBlockedBuild:
             monkeypatch, cfg, lam, max(m, 1) if block == "M" else block)
         assert np.array_equal(table.snr_db, whole.snr_db)
         assert table.snr_db.shape == (m, snap.bs_xy.shape[0])
-        # the uniforms are drawn once for the whole table, whatever the block
+        # the uniforms are drawn a block of vehicles at a time, in the stream
+        # of one draw for the whole table, whatever the block
         assert block_state == state
+        # the rate table, filled block by block, is the whole-table formula
+        rate = table.unit_rate_bps
+        assert rate.shape == table.snr_db.shape
+        assert rate.tobytes() == table.rates_at(slice(None), slice(None)).tobytes()
 
     def test_cases_cover_what_they_name(self, monkeypatch):
         shapes = {}
@@ -493,3 +515,27 @@ class TestBlockedBuild:
         assert shapes["no mmWave station"][2] == 0 and shapes["no mmWave station"][0]
         assert all(n_lte and n_mmw for _, n_lte, n_mmw in
                    (shapes["default"], shapes["LOS override"]))
+
+    def test_no_temporary_the_size_of_the_table(self):
+        # the traced peak of the build, and of the first read of the rate
+        # table over what was held before it, against the bytes of the SNR
+        # table: each output is 1x, so a second table-sized array would show.
+        # No LTE station, so that the LTE tier's one block of every vehicle
+        # is out of the figure
+        cfg = ScenarioConfig(vn_mode="FIXED", fixed_vn_count=2400, lte_density_per_km2=0.0)
+        rng = np.random.default_rng(80)
+        snap = build_snapshot(cfg, 80.0, rng)
+        tracemalloc.start()
+        try:
+            table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            table.unit_rate_bps
+            rate_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        table_bytes = table.snr_db.nbytes
+        assert table.snr_db.shape == (2400, snap.bs_xy.shape[0]) and snap.n_lte == 0
+        assert build_peak < 1.75 * table_bytes
+        assert rate_peak < 1.75 * table_bytes
