@@ -3,6 +3,7 @@ in heterogeneous LTE + mmWave networks."""
 from ._version import __version__
 from .channel import (
     LinkTable,
+    Tier,
     build_link_table,
     los_probability_lte,
     los_probability_mmw,
@@ -10,6 +11,7 @@ from .channel import (
 from .config import (
     ChannelParams,
     ConfigError,
+    Policy,
     ScenarioConfig,
     TierRadio,
     config_from_dict,
@@ -26,7 +28,7 @@ from .engine import (
     run_spec,
     steady_state,
 )
-from .geometry import Snapshot, Tier, build_snapshot
+from .geometry import Snapshot, build_snapshot
 from .metrics import (
     CellSummary,
     RunMetrics,
@@ -39,7 +41,7 @@ from .metrics import (
     worst_decile_mean,
 )
 from .output import CSV_COLUMNS, write_results
-from .policy import NO_BS, POLICY_KERNELS, Policy
+from .policy import NO_BS, POLICY_KERNELS
 
 __all__ = [
     "__version__", "AssociationState", "CellSummary", "ChannelParams",

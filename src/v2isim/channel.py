@@ -10,35 +10,35 @@ entries; only the LOS state and the distances vary per link, and neither is
 kept once the SNR is known. The budget, tx + gain - path loss - noise with
 the TR 38.901-style path loss of the clamped 3D distance d, is affine in
 l = log10(d*d) in each LOS state, so ``_snr_law``, the only definition of
-the budget, folds it into four scalars per tier, and the build evaluates
-a - b * l on each link, one tier at a time: the mmWave tier in blocks of
-vehicles, each block's LOS uniforms drawn for every column just before it
-in the stream of one draw for the whole table, then the LTE tier's few
-columns in one block of every vehicle, from the uniforms kept for them.
-The rate table is filled in the same blocks of vehicles, so the build
-allocates nothing the size of the table but its two outputs. The
-parameters come from a checked ``ScenarioConfig``, so nothing here checks
-them again.
+the budget, folds it into four scalars per tier. The parameters come from
+a checked ``ScenarioConfig``, so nothing here checks them again.
 """
 from __future__ import annotations
 
 import math
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .config import ChannelParams
-from .geometry import Snapshot, Tier
+from .geometry import Snapshot
 
 # vehicles per block of the table build and of the rate table, so that a
 # block's per-link temporaries stay in cache from the distances to the SNR
 _ROW_BLOCK = 128
 
 
-def los_probability_lte(d_km):
-    """Outdoor macro LOS probability of an array of 2D distances in km:
-    min(0.018/d, 1) * (1 - exp(-d/0.063)) + exp(-d/0.063), which is 1 at
-    d = 0 (0.018/0 divides by zero to inf)."""
+class Tier(Enum):
+    LTE = "LTE"
+    MMWAVE = "MMWAVE"
+
+
+def los_probability_lte(d_2d_m):
+    """Outdoor macro LOS probability of an array of 2D distances in meters:
+    min(0.018/d, 1) * (1 - exp(-d/0.063)) + exp(-d/0.063) with d in km,
+    which is 1 at d = 0 (0.018/0 divides by zero to inf)."""
+    d_km = d_2d_m / 1000.0
     decay = np.exp(-d_km / 0.063)
     return np.minimum(0.018 / d_km, 1.0) * (1.0 - decay) + decay
 
@@ -142,6 +142,35 @@ class LinkTable:
         return best
 
 
+def _tier_snr(vn_xy, bs_xy, uniform, law, los_probability, params, buffers):
+    """The SNR block of the links between the vehicles ``vn_xy`` and the
+    stations ``bs_xy`` of one tier, whose budget is ``law`` (its
+    ``_snr_law``) and whose LOS probability of a 2D distance in meters is
+    ``los_probability``: a link is in LOS iff its uniform is below that
+    probability, or below ``los_probability_override`` when one is set.
+    ``buffers`` holds three scratch arrays of the block's shape."""
+    a_los, b_los, a_nlos, b_nlos = law
+    s, log_d2, nlos = buffers
+    dz = params.vn_height_m - params.bs_height_m
+    override = params.los_probability_override
+    np.subtract(vn_xy[:, 0, None], bs_xy[:, 0], out=s)
+    np.multiply(s, s, out=s)
+    np.subtract(vn_xy[:, 1, None], bs_xy[:, 1], out=log_d2)
+    np.multiply(log_d2, log_d2, out=log_d2)
+    s += log_d2
+    p_los = los_probability(np.sqrt(s, out=log_d2)) if override is None else override
+    los = uniform < p_los
+    np.add(s, dz * dz, out=log_d2)
+    np.maximum(log_d2, params.min_distance_m * params.min_distance_m, out=log_d2)
+    np.log10(log_d2, out=log_d2)
+    snr_los = np.multiply(log_d2, -b_los, out=s)
+    snr_los += a_los
+    np.multiply(log_d2, -b_nlos, out=nlos)
+    nlos += a_nlos
+    np.minimum(snr_los, nlos, out=nlos)
+    return np.where(los, snr_los, nlos)
+
+
 def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
                      params: ChannelParams, snr_threshold_db: float) -> LinkTable:
     """Realize every (vehicle, base station) link of one snapshot.
@@ -153,9 +182,10 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
     are the stream of one draw for the whole table. Each block's mmWave
     columns are built right after its draw; the LTE columns' uniforms are
     kept, and the LTE tier's few columns are built after the last block, in
-    one block of every vehicle. A block's SNR is built from the squared
-    horizontal distance s = dx*dx + dy*dy of each link: the LOS test reads
-    p_los(sqrt(s)), and the SNR is the tier's ``_snr_law`` at
+    one block of every vehicle, which keeps their temporaries in cache. A
+    block's SNR is built from the squared horizontal distance
+    s = dx*dx + dy*dy of each link: the LOS test reads p_los(sqrt(s)), and
+    the SNR is the tier's ``_snr_law`` at
     l = log10(max(s + dz*dz, min_distance_m**2)). The LOS states and path
     losses are not kept, and nothing the size of the table is allocated but
     the SNR.
@@ -163,53 +193,22 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
     vn, bs, n_lte = snapshot.vn_xy, snapshot.bs_xy, snapshot.n_lte
     m, n = vn.shape[0], bs.shape[0]
     snr = np.empty((m, n))
-    dz = params.vn_height_m - params.bs_height_m
-    dz2, d2_min = dz * dz, params.min_distance_m * params.min_distance_m
-    override = params.los_probability_override
     block_uniform = np.empty((min(_ROW_BLOCK, m), n))
     lte_uniform = np.empty((m, n_lte))
-
-    def draw(rows, k):
-        """The uniforms of the next k vehicles, every column, into the reused
-        block buffer; the LTE columns' are kept, the mmWave columns' returned."""
-        uniform = rng.random(out=block_uniform[:k])
-        lte_uniform[rows] = uniform[:, :n_lte]
-        return uniform[:, n_lte:]
-
-    # the mmWave tier comes first: its blocks draw the uniforms. The LTE
-    # tier has a few columns, so one block of every vehicle keeps its
-    # temporaries in cache
-    tiers = ((Tier.MMWAVE, slice(n_lte, None), _ROW_BLOCK, los_probability_mmw, draw),
-             (Tier.LTE, slice(None, n_lte), max(m, 1),
-              lambda d: los_probability_lte(d / 1000.0), lambda rows, k: lte_uniform[rows]))
+    mmw_law = _snr_law(Tier.MMWAVE, params)
+    # the per-block temporaries, reused by every block
+    mmw_buffers = np.empty((3, min(_ROW_BLOCK, m), n - n_lte))
     # the LOS probabilities divide by a zero distance, to the limit they meet
     with np.errstate(divide="ignore"):
-        for tier, cols, block, los_probability, uniforms in tiers:
-            a_los, b_los, a_nlos, b_nlos = _snr_law(tier, params)
-            x, y = bs[cols, 0], bs[cols, 1]
-            # the per-block temporaries, reused by every block of the tier
-            buffers = np.empty((3, min(block, m), x.size))
-            for start in range(0, m, block):
-                rows = slice(start, start + block)
-                s, log_d2, nlos = buffers[:, :min(block, m - start)]
-                uniform = uniforms(rows, s.shape[0])
-                np.subtract(vn[rows, 0, None], x, out=s)
-                np.multiply(s, s, out=s)
-                np.subtract(vn[rows, 1, None], y, out=log_d2)
-                np.multiply(log_d2, log_d2, out=log_d2)
-                s += log_d2
-                p_los = (los_probability(np.sqrt(s, out=log_d2)) if override is None
-                         else override)
-                los = uniform < p_los
-                np.add(s, dz2, out=log_d2)
-                np.maximum(log_d2, d2_min, out=log_d2)
-                np.log10(log_d2, out=log_d2)
-                snr_los = np.multiply(log_d2, -b_los, out=s)
-                snr_los += a_los
-                np.multiply(log_d2, -b_nlos, out=nlos)
-                nlos += a_nlos
-                np.minimum(snr_los, nlos, out=nlos)
-                snr[rows, cols] = np.where(los, snr_los, nlos)
+        for start in range(0, m, _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            uniform = rng.random(out=block_uniform[:min(_ROW_BLOCK, m - start)])
+            lte_uniform[rows] = uniform[:, :n_lte]
+            snr[rows, n_lte:] = _tier_snr(vn[rows], bs[n_lte:], uniform[:, n_lte:], mmw_law,
+                                          los_probability_mmw, params,
+                                          mmw_buffers[:, :uniform.shape[0]])
+        snr[:, :n_lte] = _tier_snr(vn, bs[:n_lte], lte_uniform, _snr_law(Tier.LTE, params),
+                                   los_probability_lte, params, np.empty((3, m, n_lte)))
     lte = snapshot.is_lte
     bandwidth = np.where(lte, params.lte.bandwidth_hz, params.mmw.bandwidth_hz)
     return LinkTable(snr, bandwidth, lte, snapshot.required_rate_bps, snr_threshold_db)

@@ -7,11 +7,10 @@ from contextlib import nullcontext
 from dataclasses import replace
 from typing import IO, Sequence
 
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import POLICY_NAMES, ConfigError, Policy, ScenarioConfig, load_config
 from .engine import run_campaign, run_spec
 from .metrics import compute_run_metrics, summarize
 from .output import write_results, write_run_dump
-from .policy import Policy
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -43,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON scenario config ('-' reads stdin); "
                              "defaults apply for absent keys")
-    parser.add_argument("--policy", action="append", choices=["MS", "MR", "RA"],
+    parser.add_argument("--policy", action="append", choices=POLICY_NAMES,
                         help="policy to simulate (repeatable, overrides config)")
     parser.add_argument("--lambda-m", metavar="LIST", dest="lambda_m",
                         help="comma-separated mmWave densities per km^2 "

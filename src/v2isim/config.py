@@ -20,9 +20,19 @@ import os
 import sys
 import types
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from enum import Enum
 from typing import IO, Any, Union, get_args, get_origin, get_type_hints
 
-POLICY_NAMES = ("MS", "MR", "RA")
+
+class Policy(Enum):
+    """The attachment rules, in the order that seeds runs and sorts rows."""
+
+    MS = "MS"
+    MR = "MR"
+    RA = "RA"
+
+
+POLICY_NAMES = tuple(p.value for p in Policy)
 N_CLASSES = 4
 VN_MODES = ("PER_MMW_BS", "FIXED")
 

@@ -29,9 +29,9 @@ from typing import Iterator
 import numpy as np
 
 from .channel import LinkTable, build_link_table
-from .config import POLICY_NAMES, ScenarioConfig, density_key
+from .config import Policy, ScenarioConfig, density_key
 from .geometry import Snapshot, build_snapshot
-from .policy import NO_BS, POLICY_KERNELS, Policy, thresholds, unsettled
+from .policy import NO_BS, POLICY_KERNELS, thresholds, unsettled
 
 TIER_NONE, TIER_LTE, TIER_MMWAVE = 0, 1, 2
 TIER_NAMES = {TIER_NONE: "NONE", TIER_LTE: "LTE", TIER_MMWAVE: "MMWAVE"}
@@ -319,10 +319,11 @@ def run_campaign(config: ScenarioConfig, *, workers: int = 1,
     index) regardless of the worker count, so downstream aggregation is
     byte-reproducible.
     """
-    policies = [Policy(p) for p in POLICY_NAMES if p in config.policies]
+    policies = [p for p in Policy if p.value in config.policies]
     specs = [(config, lm, pol, run)
              for lm in sorted(config.mmw_density_grid_per_km2)
              for pol in policies for run in range(config.n_sim)]
+    workers = min(workers, len(specs))
     if workers <= 1:
         yield from map(run_spec, specs)
         return

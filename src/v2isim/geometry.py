@@ -9,16 +9,10 @@ tiers' radios and heights to its positions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .config import N_CLASSES, ScenarioConfig
-
-
-class Tier(Enum):
-    LTE = "LTE"
-    MMWAVE = "MMWAVE"
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,22 +16,15 @@ which the rate at the station it left now reaches a per-vehicle threshold
 """
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from .channel import LinkTable
+from .config import Policy
 
 NO_BS = -1
 
 # the least positive float: a rate r > 0 iff r >= _TINY
 _TINY = np.nextafter(0.0, 1.0)
-
-
-class Policy(Enum):
-    MS = "MS"
-    MR = "MR"
-    RA = "RA"
 
 
 def _best(rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

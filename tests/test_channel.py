@@ -80,15 +80,15 @@ class TestLosProbability:
             assert los_probability_lte(np.zeros(1))[0] == 1.0
 
     def test_lte_min_term_saturates(self):
-        # for d <= 0.018 km the expression collapses to exactly 1
-        assert los_probability_lte(np.array([0.018]))[0] == pytest.approx(1.0, abs=1e-15)
+        # for d <= 18 m the expression collapses to exactly 1
+        assert los_probability_lte(np.array([18.0]))[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_lte_at_100m(self):
         # independent evaluation: 0.18*(1-e^(-100/63)) + e^(-100/63)
         decay = math.exp(-0.1 / 0.063)
         expected = 0.18 * (1.0 - decay) + decay
         assert expected == pytest.approx(0.3476708368442312, rel=1e-12)
-        assert los_probability_lte(np.array([0.1]))[0] == pytest.approx(expected, rel=1e-12)
+        assert los_probability_lte(np.array([100.0]))[0] == pytest.approx(expected, rel=1e-12)
 
     def test_mmw_below_knee(self):
         d = np.array([0.0, 0.5, 10.0, 17.9, 18.0])
@@ -120,7 +120,7 @@ class TestLosProbability:
     def test_in_unit_interval_out_to_10km(self):
         d_m = np.linspace(0.0, 10_000.0, 5001)
         with np.errstate(divide="ignore"):
-            p_lte = los_probability_lte(d_m / 1000.0)
+            p_lte = los_probability_lte(d_m)
             p_mmw = los_probability_mmw(d_m)
         for p in (p_lte, p_mmw):
             assert np.all(p >= 0.0) and np.all(p <= 1.0)
@@ -503,6 +503,28 @@ class TestBlockedBuild:
         rate = table.unit_rate_bps
         assert rate.shape == table.snr_db.shape
         assert rate.tobytes() == table.rates_at(slice(None), slice(None)).tobytes()
+
+    def test_los_states_are_one_row_major_draw(self):
+        # link (i, j) is in LOS iff entry (i, j) of one row-major draw of the
+        # whole table, from the generator the snapshot leaves, is below 0.5.
+        # With every 3D distance at least 40 m, every link's NLOS SNR is
+        # below its LOS one (the LTE laws cross at 32.4 m, the mmWave laws
+        # never), so the links at the LOS budget are exactly those in LOS
+        params = ChannelParams(los_probability_override=0.5, min_distance_m=40.0)
+        cfg = ScenarioConfig(channel=params)
+        rng = np.random.default_rng(40)
+        snap = build_snapshot(cfg, 40.0, rng)
+        state = rng.bit_generator.state
+        table = build_link_table(snap, rng, params, cfg.snr_threshold_db)
+        los_snr = los_snr_db(snap, params)
+        all_nlos = build_link_table(snap, np.random.default_rng(0),
+                                    replace(params, los_probability_override=0.0),
+                                    cfg.snr_threshold_db)
+        assert np.all(all_nlos.snr_db < los_snr)
+        m, n = table.snr_db.shape
+        assert m > 2 * channel._ROW_BLOCK and 0 < snap.n_lte < n
+        rng.bit_generator.state = state
+        assert np.array_equal(table.snr_db == los_snr, rng.random((m, n)) < 0.5)
 
     def test_cases_cover_what_they_name(self, monkeypatch):
         shapes = {}

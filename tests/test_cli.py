@@ -50,6 +50,14 @@ class TestExitCodes:
         assert code == 1
         assert "n_sim" in err
 
+    def test_unknown_policy_is_exit_1(self, capsys):
+        # --policy accepts the policy set of the config, in its order
+        code, out, err = run_cli(capsys, "--policy", "XX", "--runs", "1")
+        assert code == 1
+        assert "invalid choice" in err
+        assert err.index("MS") < err.index("MR") < err.index("RA")
+        assert out == ""
+
     def test_parallel_below_one_is_exit_1(self, capsys, fast_config):
         for workers in ("0", "-3"):
             code, out, err = run_cli(capsys, "--config", fast_config, *FAST,

@@ -40,6 +40,15 @@ class TestDefaults:
         assert cfg.channel.vn_height_m == 2.0
         assert cfg.channel.noise_psd_dbm_per_hz == -174.0
 
+    def test_one_policy_set(self):
+        # the policies, in the order that seeds runs and sorts rows, are the
+        # Policy enum's; v2isim.policy.Policy is the same class
+        import v2isim.config
+        import v2isim.policy
+
+        assert v2isim.config.POLICY_NAMES == ("MS", "MR", "RA")
+        assert v2isim.policy.Policy is v2isim.config.Policy is Policy
+
     def test_measurement_region_defaults_to_central_square(self):
         cfg = config_from_dict({})
         assert cfg.resolved_measurement_region() == (250.0, 750.0, 250.0, 750.0)

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -776,6 +779,28 @@ class TestCampaign:
         for a, b in zip(seq, par):
             assert a.lambda_m == b.lambda_m and a.policy is b.policy
             assert np.array_equal(a.rate_bps, b.rate_bps)
+
+    @pytest.mark.parametrize("workers,n_sim,pool_sizes", [
+        (2, 1, []), (8, 3, [3]), (2, 8, [2])])
+    def test_no_more_workers_than_runs(self, monkeypatch, workers, n_sim, pool_sizes):
+        # a pool context that records the processes asked for and maps the
+        # runs in this process: one run takes the serial path, and a pool
+        # is never larger than the campaign
+        import multiprocessing
+
+        sizes = []
+
+        class Context:
+            @contextmanager
+            def Pool(self, processes):
+                sizes.append(processes)
+                yield SimpleNamespace(imap=lambda f, specs, chunksize: map(f, specs))
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda *_: Context())
+        cfg = ScenarioConfig(mmw_density_grid_per_km2=(4.0,), policies=("MS",),
+                             n_sim=n_sim, vn_mode="FIXED", fixed_vn_count=20)
+        assert len(list(run_campaign(cfg, workers=workers))) == n_sim
+        assert sizes == pool_sizes
 
     def test_derived_seeds_unique_per_cell(self):
         seen = set()
