@@ -2,6 +2,7 @@
 in heterogeneous LTE + mmWave networks."""
 from ._version import __version__
 from .channel import (
+    NO_BS,
     LinkTable,
     Tier,
     build_link_table,
@@ -41,7 +42,7 @@ from .metrics import (
     worst_decile_mean,
 )
 from .output import CSV_COLUMNS, write_results
-from .policy import NO_BS, POLICY_KERNELS
+from .policy import POLICY_KERNELS
 
 __all__ = [
     "__version__", "AssociationState", "CellSummary", "ChannelParams",

@@ -24,6 +24,9 @@ import numpy as np
 from .config import ChannelParams
 from .geometry import Snapshot
 
+# the station index of a vehicle that every station leaves in outage
+NO_BS = -1
+
 # vehicles per block of the table build and of the rate table, so that a
 # block's per-link temporaries stay in cache from the distances to the SNR
 _ROW_BLOCK = 128
@@ -97,11 +100,12 @@ class LinkTable:
     def __init__(self, snr: np.ndarray, bandwidth_hz: np.ndarray,
                  is_lte: np.ndarray, required_rate_bps: np.ndarray,
                  snr_threshold_db: float):
-        self.snr_db = np.asarray(snr, dtype=float)
+        # read-only views, so that the caller's arrays stay writeable
+        self.snr_db = np.asarray(snr, dtype=float).view()
         self.n_vn, self.n_bs = self.snr_db.shape
-        self.bandwidth_hz = np.asarray(bandwidth_hz, dtype=float)
-        self.is_lte = np.asarray(is_lte, dtype=bool)
-        self.required_rate_bps = np.asarray(required_rate_bps, dtype=float)
+        self.bandwidth_hz = np.asarray(bandwidth_hz, dtype=float).view()
+        self.is_lte = np.asarray(is_lte, dtype=bool).view()
+        self.required_rate_bps = np.asarray(required_rate_bps, dtype=float).view()
         self.snr_threshold_db = float(snr_threshold_db)
         self.lte_indices = np.flatnonzero(self.is_lte)
         for arr in (self.snr_db, self.bandwidth_hz, self.is_lte,
@@ -130,14 +134,15 @@ class LinkTable:
     @cached_property
     def strongest_bs(self) -> np.ndarray:
         """Each vehicle's station of highest SNR, ties to the lowest id, or
-        -1 where that SNR is below the threshold or there is no station.
-        No load changes it, so it is built once, on its first read."""
+        ``NO_BS`` where that SNR is below the threshold or there is no
+        station: the MS choice. No load changes it, so it is built once, on
+        its first read."""
         if self.n_bs == 0:
-            best = np.full(self.n_vn, -1, dtype=np.int64)
+            best = np.full(self.n_vn, NO_BS, dtype=np.int64)
         else:
             col = self.snr_db.argmax(axis=1)
             top = self.snr_db[np.arange(self.n_vn), col]
-            best = np.where(top < self.snr_threshold_db, -1, col)
+            best = np.where(top < self.snr_threshold_db, NO_BS, col)
         best.setflags(write=False)
         return best
 

@@ -21,7 +21,7 @@ import sys
 import types
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from enum import Enum
-from typing import IO, Any, Union, get_args, get_origin, get_type_hints
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 
 class Policy(Enum):
@@ -283,12 +283,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
                  "channel.los_probability_override: must lie in [0, 1]")
 
 
-def load_config(source: str | os.PathLike[str] | IO[str]) -> ScenarioConfig:
-    """Load a ScenarioConfig from a JSON file path, '-' (stdin) or a stream."""
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-        name = getattr(source, "name", "<stream>")
-    elif source == "-":
+def load_config(source: str | os.PathLike[str]) -> ScenarioConfig:
+    """Load a ScenarioConfig from a JSON file path or '-' (stdin)."""
+    if source == "-":
         text = sys.stdin.read()
         name = "<stdin>"
     else:

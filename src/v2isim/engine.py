@@ -6,15 +6,16 @@ move or at the pick cap -> per-vehicle realized rates from the final loads.
 Runs are fully deterministic in their seed; campaign seeds are derived per
 (density, policy, run index) so any cell is reproducible in isolation.
 
-The engine calls the attachment rules only through
+Under MS a vehicle takes its station of highest SNR, whatever the loads:
+both layers read that choice off the table (``LinkTable.strongest_bs``),
+so an MS run calls no rule, and no vehicle moves after the initial attach.
+The engine calls the load-dependent rules, MR and RA, only through
 ``policy.POLICY_KERNELS``, looked up at each call, and a call evaluates the
 rule for a block of vehicles at once. The reassignment loop evaluates it
-once for every vehicle, except under MS, whose choices ignore loads: it
-reads them off the table (``LinkTable.strongest_bs``), so an MS run calls
-its rule once, in the initial attach. After that, a move only marks stale
-the vehicles whose choice it can change (``policy.unsettled``): a move
-changes the post-join rate of the station it leaves and of the one it
-joins, and nothing else. The stale set is evaluated in one call, at the loads of the
+once for every vehicle. After that, a move only marks stale the vehicles
+whose choice it can change (``policy.unsettled``): a move changes the
+post-join rate of the station it leaves and of the one it joins, and
+nothing else. The stale set is evaluated in one call, at the loads of the
 moment, when a pick reaches a stale vehicle and at each block boundary, so
 one call usually covers several moves. The other picks change nothing, so
 they are counted without an evaluation, and the loop returns exactly what a
@@ -28,10 +29,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import LinkTable, build_link_table
+from .channel import NO_BS, LinkTable, build_link_table
 from .config import Policy, ScenarioConfig, density_key
 from .geometry import Snapshot, build_snapshot
-from .policy import NO_BS, POLICY_KERNELS, thresholds, unsettled
+from .policy import POLICY_KERNELS, thresholds, unsettled
 
 TIER_NONE, TIER_LTE, TIER_MMWAVE = 0, 1, 2
 TIER_NAMES = {TIER_NONE: "NONE", TIER_LTE: "LTE", TIER_MMWAVE: "MMWAVE"}
@@ -95,18 +96,21 @@ def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
     picked twice: a join lowers only the joined station's post-join rate, so
     each accepted choice is the one the vehicle makes after the joins before
     it. The next block starts at the first vehicle that repeats a station.
-    MS ignores loads, so its one block is every vehicle, all accepted."""
+    MS ignores loads, so every vehicle takes its ``link_table.strongest_bs``
+    at once, with no rule call."""
+    if policy is Policy.MS:
+        assignment = link_table.strongest_bs.copy()
+        loads = np.bincount(assignment[assignment != NO_BS], minlength=link_table.n_bs)
+        return AssociationState(assignment, loads)
     m = link_table.n_vn
     state = AssociationState(np.full(m, NO_BS, dtype=np.int64),
                              np.zeros(link_table.n_bs, dtype=np.int64))
     assignment, loads = state.assignment, state.loads
     start = 0
     while start < m:
-        stop = m if policy is Policy.MS else min(start + _ATTACH_BLOCK, m)
         choice, _ = POLICY_KERNELS[policy](link_table, assignment, loads,
-                                           np.arange(start, stop))
-        if policy is not Policy.MS:
-            choice = choice[:_first_repeat(choice)]
+                                           np.arange(start, min(start + _ATTACH_BLOCK, m)))
+        choice = choice[:_first_repeat(choice)]
         assignment[start:start + choice.size] = choice
         np.add.at(loads, choice[choice != NO_BS], 1)
         start += choice.size
@@ -160,10 +164,11 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     flags more vehicles. Picks are drawn in the same blocks from the same
     generator as a loop that evaluates every pick, so the result is the
     same. Once no vehicle is dirty no pick can move one, so no further
-    block is drawn: MS, whose choice ignores loads, returns min(window, cap)
-    picks straight after the initial attach. Under MS the choices are
-    ``link_table.strongest_bs``, read without a rule call, and no move
-    unsettles a vehicle, so no bar is kept.
+    block is drawn. Under MS the choices are ``link_table.strongest_bs``,
+    read without a rule call, and a move unsettles no vehicle, so no bar is
+    kept and ``policy.unsettled`` is not called; straight after the initial
+    attach no vehicle is dirty, and the loop returns min(window, cap) picks
+    without drawing one.
     """
     m = link_table.n_vn
     if m == 0:
@@ -225,10 +230,10 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
                 loads[new] += 1
             assignment[vn] = new
             dirty[vn] = False
-            flagged = unsettled(link_table, policy, assignment, loads,
-                                choice, bar, old, new)
-            stale |= flagged
-            dirty |= flagged
+            if policy is not Policy.MS:
+                flagged = unsettled(link_table, assignment, loads, choice, bar, old, new)
+                stale |= flagged
+                dirty |= flagged
     if __debug__:
         state.check()
     return state, min(cap, settled + window), settled + window <= cap

@@ -1,4 +1,6 @@
-"""The three attachment decision rules and which vehicles a move unsettles.
+"""The load-dependent attachment rules, MR and RA, and which vehicles a
+move unsettles. MS depends on the link alone: its choice is the link
+table's ``strongest_bs``, which the engine reads without a rule call.
 
 Each rule is a kernel in ``POLICY_KERNELS``:
 ``kernel(table, assignment, loads, rows)`` returns ``(choice, rate)``: for
@@ -18,10 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import LinkTable
+from .channel import NO_BS, LinkTable
 from .config import Policy
-
-NO_BS = -1
 
 # the least positive float: a rate r > 0 iff r >= _TINY
 _TINY = np.nextafter(0.0, 1.0)
@@ -52,21 +52,6 @@ def _post_join_rates(table: LinkTable, assignment: np.ndarray,
     return rates
 
 
-def _ms_choice(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
-               rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Attach to the base station with the highest SNR, load notwithstanding:
-    ``table.strongest_bs``. The rate of the choice is computed from that SNR
-    alone, so MS never builds ``unit_rate_bps``."""
-    if table.n_bs == 0:
-        return np.full(rows.size, NO_BS, dtype=np.int64), np.zeros(rows.size)
-    choice = table.strongest_bs[rows]
-    # station 0 stands in for NO_BS: the SNR there is below the threshold
-    # too, so the rate is 0, and the divisor is at least 1 as at any station
-    col = np.maximum(choice, 0)
-    rate = table.rates_at(rows, col) / (loads[col] + (assignment[rows] != col))
-    return choice, rate
-
-
 def _mr_choice(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
                rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Attach to the base station offering the highest post-join rate."""
@@ -92,7 +77,6 @@ def _ra_choice(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
 
 
 POLICY_KERNELS = {
-    Policy.MS: _ms_choice,
     Policy.MR: _mr_choice,
     Policy.RA: _ra_choice,
 }
@@ -104,7 +88,7 @@ def thresholds(table: LinkTable, policy: Policy, rows: np.ndarray,
     that may draw vehicle ``rows[i]`` off ``choice[i]``, where it gets
     ``rate[i]``, when that station's rate rises.
 
-    Under MS and MR it is ``max(rate, tiny)``: a positive rate that ties or
+    Under MR it is ``max(rate, tiny)``: a positive rate that ties or
     beats the choice (a tie goes to the lower id). Under RA a vehicle is
     served when its choice is an LTE cell above its required rate: it takes
     the best LTE cell, which a rise at a mmWave station cannot change, so
@@ -124,27 +108,23 @@ def thresholds(table: LinkTable, policy: Policy, rows: np.ndarray,
     return bar
 
 
-def unsettled(table: LinkTable, policy: Policy, assignment: np.ndarray,
-              loads: np.ndarray, choice: np.ndarray, bar: np.ndarray,
-              a: int, b: int) -> np.ndarray:
+def unsettled(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
+              choice: np.ndarray, bar: np.ndarray, a: int, b: int) -> np.ndarray:
     """Mask of the vehicles whose choice may change after one vehicle moved
     from station ``a`` to ``b`` (``assignment`` and ``loads`` already
     updated).
 
     ``choice`` is each vehicle's choice before the move and ``bar`` its
     ``thresholds``. The move changes the post-join rate at two stations
-    only: ``a`` rises and ``b`` falls. MS ignores loads, so nobody.
-    Otherwise the mask holds every vehicle choosing ``b``, and every vehicle
-    not choosing ``a`` whose bar for ``a``'s tier the rate at ``a`` now
-    reaches. Every other vehicle compares the same rates as before, so its
-    choice stands. One comparison per vehicle replaces the rule's two
-    clauses; a bar computed from a rate at the choice that has risen since
-    is too low, never too high, and a bar too low only widens the mask.
+    only: ``a`` rises and ``b`` falls. The mask holds every vehicle choosing
+    ``b``, and every vehicle not choosing ``a`` whose bar for ``a``'s tier
+    the rate at ``a`` now reaches. Every other vehicle compares the same
+    rates as before, so its choice stands. One comparison per vehicle
+    replaces the rule's two clauses; a bar computed from a rate at the
+    choice that has risen since is too low, never too high, and a bar too
+    low only widens the mask.
     """
-    m = assignment.size
-    if policy is Policy.MS:
-        return np.zeros(m, dtype=bool)
-    mask = choice == b if b != NO_BS else np.zeros(m, dtype=bool)
+    mask = choice == b if b != NO_BS else np.zeros(assignment.size, dtype=bool)
     if a == NO_BS:
         return mask
     at_a = table.unit_rate_bps[:, a] / (loads[a] + (assignment != a))

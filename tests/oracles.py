@@ -8,13 +8,15 @@ comparison against the engine is meaningful.
 
 ``REFERENCE_RULES`` holds the three attachment rules in their scalar form,
 one vehicle per call: ``rule(table, vn, loads)`` with ``loads`` counting
-every vehicle but ``vn``. The package's vectorized ``POLICY_KERNELS`` must
-return what they return, row by row.
+every vehicle but ``vn``. The package's vectorized ``POLICY_KERNELS`` (MR
+and RA) and ``LinkTable.strongest_bs`` (MS) must return what they return,
+row by row.
 
 ``reference_initial_attach`` and ``reference_steady_state`` are the
 engine's greedy first pass and randomized best-response loop in their plain
 form, one reference-rule call per vehicle or pick; the engine must return
-exactly what they return.
+exactly what they return. ``absorption_law`` is the exact law of the fixed
+point at which that loop ends.
 """
 import itertools
 import math
@@ -206,3 +208,66 @@ def reference_steady_state(state, snapshot, link_table, policy, rng, *,
     if __debug__:
         state.check()
     return state, picks, converged
+
+
+def absorption_law(link_table, policy):
+    """The law of the fixed point at which the randomized best-response
+    process ends from the greedy initial attach, as {assignment tuple:
+    probability} over the fixed points it reaches; None when the process can
+    reach a closed class of assignments without a fixed point (RA can).
+
+    The process picks a vehicle uniformly and moves it to its
+    ``REFERENCE_RULES`` best response at the loads without it. The
+    assignments reachable from the start are enumerated, the fixed points
+    (every pick a no-op) are absorbing, and the absorption probabilities B
+    solve (I - Q) B = R, with Q the moves between the other assignments and
+    R the moves from them onto the fixed points. Only feasible for micro
+    instances."""
+    rule, m = REFERENCE_RULES[policy], link_table.n_vn
+    start = tuple(reference_initial_attach(link_table, policy).assignment.tolist())
+    moves, todo = {}, [start]
+    while todo:
+        state = todo.pop()
+        if state in moves:
+            continue
+        loads = np.zeros(link_table.n_bs, dtype=np.int64)
+        for bs in state:
+            if bs != NO_BS:
+                loads[bs] += 1
+        moves[state] = []
+        for vn, bs in enumerate(state):
+            without = loads.copy()
+            if bs != NO_BS:
+                without[bs] -= 1
+            moves[state].append(state[:vn] + (int(rule(link_table, vn, without)),)
+                                + state[vn + 1:])
+        todo.extend(moves[state])
+    fixed = [s for s, succ in moves.items() if all(t == s for t in succ)]
+    # a closed class without a fixed point exists iff some reachable
+    # assignment reaches no fixed point
+    before = {s: set() for s in moves}
+    for s, succ in moves.items():
+        for t in succ:
+            before[t].add(s)
+    ends, todo = set(fixed), list(fixed)
+    while todo:
+        for s in before[todo.pop()] - ends:
+            ends.add(s)
+            todo.append(s)
+    if len(ends) < len(moves):
+        return None
+    col = {s: k for k, s in enumerate(fixed)}
+    if start in col:
+        return {start: 1.0}
+    transient = [s for s in moves if s not in col]
+    row = {s: i for i, s in enumerate(transient)}
+    q = np.zeros((len(transient), len(transient)))
+    r = np.zeros((len(transient), len(fixed)))
+    for s in transient:
+        for t in moves[s]:
+            if t in row:
+                q[row[s], row[t]] += 1.0 / m
+            else:
+                r[row[s], col[t]] += 1.0 / m
+    b = np.linalg.solve(np.eye(len(transient)) - q, r)
+    return dict(zip(fixed, b[row[start]].tolist()))

@@ -272,9 +272,7 @@ def prop_jain_bounds_and_scale_invariance(xs, scale):
        slope_cents=st.integers(25, 400), offset_cents=st.integers(-5000, 5000))
 def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
                                                       offset_cents):
-    from v2isim import NO_BS, POLICY_KERNELS
-
-    ms_choice = POLICY_KERNELS[Policy.MS]
+    # the MS choice is the table's strongest station
     snr = np.array([[c / 100.0 for c in snr_cents]])
     slope = slope_cents / 100.0
     offset = offset_cents / 100.0
@@ -282,10 +280,7 @@ def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
     base = make_table(snr, [1e9] * n, [False] * n)
     transformed = make_table(slope * snr + offset, [1e9] * n, [False] * n,
                              snr_threshold_db=slope * -5.0 + offset)
-    loads = np.zeros(n, dtype=np.int64)
-    unattached, rows = np.array([NO_BS]), np.array([0])
-    assert ms_choice(base, unattached, loads, rows)[0] == \
-        ms_choice(transformed, unattached, loads, rows)[0]
+    assert base.strongest_bs[0] == transformed.strongest_bs[0]
 
 
 @PROPERTY_SETTINGS

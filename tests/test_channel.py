@@ -454,6 +454,18 @@ class TestLinkTable:
             rate[0, 0] = 0.0
         assert table.unit_rate_bps is rate
 
+    def test_freezes_views_not_the_snapshots_arrays(self, rng):
+        cfg = ScenarioConfig()
+        snap = build_snapshot(cfg, 8.0, rng)
+        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+        for arr in (snap.bs_xy, snap.vn_xy, snap.class_k, snap.required_rate_bps):
+            assert arr.flags.writeable
+        for arr in (table.snr_db, table.bandwidth_hz, table.is_lte,
+                    table.required_rate_bps, table.lte_indices, table.strongest_bs):
+            assert not arr.flags.writeable
+        # a view, not a copy
+        assert np.shares_memory(table.required_rate_bps, snap.required_rate_bps)
+
     def test_rates_at_gathers_the_rate_table(self, rng):
         cfg = ScenarioConfig()
         table = build_link_table(build_snapshot(cfg, 40.0, rng), rng, cfg.channel,

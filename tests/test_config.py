@@ -1,4 +1,3 @@
-import io
 import json
 import re
 from dataclasses import fields, is_dataclass, replace
@@ -103,11 +102,13 @@ class TestValidation:
         ("[4, -Infinity]", "mmw_density_grid_per_km2[1]: must be finite"),
         ("[NaN]", "mmw_density_grid_per_km2[0]: must be finite"),
     ])
-    def test_grid_density_must_be_finite_and_non_negative(self, grid, message):
+    def test_grid_density_must_be_finite_and_non_negative(self, grid, message,
+                                                          tmp_path):
         # a non-finite entry is named by its index before any range check
-        doc = io.StringIO('{"mmw_density_grid_per_km2": %s}' % grid)
+        path = tmp_path / "grid.json"
+        path.write_text('{"mmw_density_grid_per_km2": %s}' % grid)
         with pytest.raises(ConfigError) as error:
-            load_config(doc)
+            load_config(path)
         assert str(error.value) == message
 
     @pytest.mark.parametrize("grid,duplicate", [
@@ -167,12 +168,6 @@ class TestValidation:
 
 
 class TestLoadConfig:
-    def test_load_from_stream(self):
-        doc = {"n_sim": 3, "policies": ["RA"]}
-        cfg = load_config(io.StringIO(json.dumps(doc)))
-        assert cfg.n_sim == 3
-        assert cfg.policies == ("RA",)
-
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps({"master_seed": 42}))
@@ -269,11 +264,12 @@ class TestSchema:
     @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")],
                              ids=["Infinity", "-Infinity", "NaN"])
     @pytest.mark.parametrize("key,value", FLOAT_LEAVES, ids=[k for k, _ in FLOAT_LEAVES])
-    def test_non_finite_float_names_dotted_key(self, key, value, bad):
-        # through JSON text, which spells these Infinity, -Infinity and NaN
-        text = json.dumps(nested(key, with_first(value, bad)))
+    def test_non_finite_float_names_dotted_key(self, key, value, bad, tmp_path):
+        # through a JSON file, which spells these Infinity, -Infinity and NaN
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(nested(key, with_first(value, bad))))
         with pytest.raises(ConfigError) as error:
-            load_config(io.StringIO(text))
+            load_config(path)
         assert names_key(str(error.value), key), str(error.value)
 
     def test_float_leaf_count(self):

@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -109,6 +110,24 @@ class ScriptedGenerator:
                                self.rng.integers(low, high, size=size - len(head))])
 
 
+@contextmanager
+def counted_rules():
+    """Counts the calls through every rule of ``POLICY_KERNELS``: yields the
+    list of their arguments."""
+    calls = []
+
+    def counted(kernel):
+        def call(*args):
+            calls.append(args)
+            return kernel(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for policy, kernel in list(POLICY_KERNELS.items()):
+            patch.setitem(POLICY_KERNELS, policy, counted(kernel))
+        yield calls
+
+
 def assert_same_as_reference(table, policy, state, seed, **multipliers):
     """Returns the blocks of picks the engine and the reference drew."""
     ref = AssociationState(state.assignment.copy(), state.loads.copy())
@@ -134,19 +153,12 @@ def assert_same_as_reference(table, policy, state, seed, **multipliers):
 
 def assert_attach_is_greedy_pass(table, policy):
     """``initial_attach`` equals the per-vehicle greedy pass with the
-    reference rule; under MS it evaluates the rule once, for every row."""
+    reference rule; under MS it calls no rule."""
     want = oracles.reference_initial_attach(table, policy)
-    kernel, calls = POLICY_KERNELS[policy], []
-
-    def counted(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setitem(POLICY_KERNELS, policy, counted)
+    with counted_rules() as calls:
         got = initial_attach(None, table, policy)
     if policy is Policy.MS:
-        assert len(calls) == min(table.n_vn, 1)
+        assert calls == []
     assert len(calls) <= table.n_vn
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.loads, want.loads)
@@ -431,16 +443,10 @@ class TestSteadyState:
             moves.append(choice != ref.assignment[vn])
             return choice
 
-        kernel, calls = POLICY_KERNELS[policy], []
-
-        def counted_kernel(*args):
-            calls.append(args)
-            return kernel(*args)
-
         monkeypatch.setitem(oracles.REFERENCE_RULES, policy, counted_rule)
-        monkeypatch.setitem(POLICY_KERNELS, policy, counted_kernel)
         rng_state = rng.bit_generator.state
-        _, picks, converged = steady_state(state, snap, table, policy, rng)
+        with counted_rules() as calls:
+            _, picks, converged = steady_state(state, snap, table, policy, rng)
         rng.bit_generator.state = rng_state
         oracles.reference_steady_state(ref, snap, table, policy, rng)
         assert np.array_equal(state.assignment, ref.assignment)
@@ -503,6 +509,71 @@ class TestSteadyState:
             assert int(state.loads.sum()) + int(np.sum(state.assignment == -1)) == n_vn
 
 
+# The law test's contended micro instances: 3-6 vehicles on 2-3 stations,
+# every link in service (5-25 dB), stations mostly 1 GHz mmWave and else
+# 20 MHz LTE. Fixed before the test first ran: the instance seed, S runs per
+# case and the bound in binomial standard errors. At that bound a correct
+# engine fails a count with probability below 0.1% over the 117 fixed
+# points of the 55 cases (a union bound of exact binomial tails).
+LAW_INSTANCE_SEED, LAW_INSTANCES, LAW_RUNS, LAW_BOUND_SE = 4242, 400, 300, 4.5
+
+
+@pytest.fixture(scope="module")
+def law_cases():
+    """(table, policy, law) of every instance whose process reaches at least
+    two fixed points, and no closed class without one."""
+    rng = np.random.default_rng(LAW_INSTANCE_SEED)
+    cases = []
+    for _ in range(LAW_INSTANCES):
+        n_vn, n_bs = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        snr = rng.uniform(5.0, 25.0, size=(n_vn, n_bs))
+        lte = rng.random(n_bs) < 0.2
+        table = make_table(snr, np.where(lte, 20e6, 1e9), lte,
+                           rng.choice([1e6, 1e7, 1e8, 1.2e9], size=n_vn))
+        for policy in (Policy.MR, Policy.RA):
+            law = oracles.absorption_law(table, policy)
+            if law is not None and len(law) >= 2:
+                cases.append((table, policy, law))
+    return cases
+
+
+class TestSteadyStateLaw:
+    @pytest.mark.parametrize("window,cap", [
+        (50.0, 400.0),
+        pytest.param(3.0, 50.0, marks=pytest.mark.xfail(strict=True, reason=(
+            "the FOUND fault of engine.steady_state in CHANGES.md: it stops "
+            "window picks after its last move, so some runs end off a fixed "
+            "point (268 of these 16,500 runs at the defaults)"))),
+    ], ids=["criterion-8-multipliers", "defaults"])
+    def test_ends_at_each_fixed_point_as_often_as_the_process(
+            self, law_cases, window, cap):
+        # the law every figure of merit averages over: from the greedy
+        # start, the loop ends at each fixed point with the probability the
+        # random-pick process gives it
+        assert len(law_cases) == 55
+        for case, (table, policy, law) in enumerate(law_cases):
+            counts = dict.fromkeys(law, 0)
+            for seed in range(LAW_RUNS):
+                state, _, _ = run_engine(table, policy, seed, window, cap)
+                end = tuple(state.assignment.tolist())
+                assert end in counts, (case, policy, seed, end)
+                counts[end] += 1
+            for end, p in law.items():
+                se = math.sqrt(LAW_RUNS * p * (1.0 - p))
+                assert abs(counts[end] - LAW_RUNS * p) <= LAW_BOUND_SE * se, \
+                    (case, policy, end, counts[end], LAW_RUNS * p)
+
+    def test_oracle_skips_a_process_that_never_rests(self, monkeypatch):
+        # matching pennies: vehicle 0 joins vehicle 1, which flees it, so no
+        # assignment is a fixed point
+        def pennies(table, vn, loads):
+            return int(np.argmax(loads) if vn == 0 else np.argmin(loads))
+
+        monkeypatch.setitem(oracles.REFERENCE_RULES, Policy.MR, pennies)
+        table = make_table([[10.0, 10.0]] * 2, [1e9, 1e9], [False, False])
+        assert oracles.absorption_law(table, Policy.MR) is None
+
+
 def draw_kernel_call(data, policy):
     """A micro table, a state, loads with other vehicles' load on top, so
     that post-join loads above 1 appear, and any rows, in any order,
@@ -522,15 +593,17 @@ class TestBestResponses:
     @PROPERTY_SETTINGS
     @given(data=st.data(), policy=st.sampled_from(list(Policy)))
     def test_equals_reference_rule_row_by_row(self, data, policy):
+        # MS reads its choice off the table
         table, assignment, loads, rows = draw_kernel_call(data, policy)
-        got, _ = POLICY_KERNELS[policy](table, assignment, loads, rows)
+        got = (table.strongest_bs[rows] if policy is Policy.MS
+               else POLICY_KERNELS[policy](table, assignment, loads, rows)[0])
         assert got.shape == rows.shape and got.dtype == np.int64
         for vn, choice in zip(rows, got):
             without = loads_without(assignment, loads, vn)
             assert choice == oracles.REFERENCE_RULES[policy](table, vn, without)
 
     @PROPERTY_SETTINGS
-    @given(data=st.data(), policy=st.sampled_from(list(Policy)))
+    @given(data=st.data(), policy=st.sampled_from([Policy.MR, Policy.RA]))
     def test_rate_is_the_post_join_rate_of_the_choice(self, data, policy):
         # bit for bit the float the reference rules compare, unit rate over
         # the load without the vehicle + 1.0, and 0 where the choice is NO_BS
@@ -605,13 +678,12 @@ class TestUnsettled:
         state.assignment[0], state.loads[:] = 1, [0, 1, 1]
         assert list(POLICY_KERNELS[Policy.RA](
             table, state.assignment, state.loads, rows)[0]) == [1, 0]
-        mask = unsettled(table, Policy.RA, state.assignment, state.loads,
-                         choice, bar, 0, 1)
+        mask = unsettled(table, state.assignment, state.loads, choice, bar, 0, 1)
         assert mask[1]
 
     @settings(PROPERTY_SETTINGS, suppress_health_check=[
         HealthCheck.too_slow, HealthCheck.filter_too_much])
-    @given(data=st.data(), policy=st.sampled_from(list(Policy)))
+    @given(data=st.data(), policy=st.sampled_from([Policy.MR, Policy.RA]))
     def test_flags_every_choice_a_move_changes(self, data, policy):
         # the recheck set is exact: after one move of a dirty vehicle, a
         # vehicle left out of the mask still makes its stored choice; each
@@ -647,7 +719,7 @@ class TestUnsettled:
             if b != NO_BS:
                 loads[b] += 1
             assignment[vn] = b
-            mask = unsettled(table, policy, assignment, loads, choice, bar, a, b)
+            mask = unsettled(table, assignment, loads, choice, bar, a, b)
             assert mask.shape == (table.n_vn,) and mask.dtype == bool
             for v in everyone:
                 if rule(table, v, loads_without(assignment, loads, v)) != choice[v]:
@@ -708,18 +780,12 @@ class TestRunOnce:
         assert np.all(result.rate_bps[unattached] == 0.0)
         assert np.all(result.rate_bps[~unattached] > 0.0)
 
-    def test_ms_run_evaluates_the_rule_once(self, monkeypatch):
-        # the attach evaluates MS for every vehicle; the loop does not again
-        kernel, rows = POLICY_KERNELS[Policy.MS], []
-
-        def counted(*args):
-            rows.append(args[3].size)
-            return kernel(*args)
-
-        monkeypatch.setitem(POLICY_KERNELS, Policy.MS, counted)
-        result = run_once(ScenarioConfig(), 40.0, Policy.MS,
-                          derive_run_seed(1, 40.0, Policy.MS, 0))
-        assert rows == [result.n_vn]
+    def test_ms_run_calls_no_rule(self):
+        # both layers read the MS choices off the table
+        with counted_rules() as calls:
+            result = run_once(ScenarioConfig(), 40.0, Policy.MS,
+                              derive_run_seed(1, 40.0, Policy.MS, 0))
+        assert calls == [] and result.n_vn > 0
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_layers_on_one_generator_compose_to_run_once(self, policy):

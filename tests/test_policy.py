@@ -14,7 +14,6 @@ def rule(policy):
     return choice
 
 
-ms_choice = rule(Policy.MS)
 mr_choice = rule(Policy.MR)
 ra_choice = rule(Policy.RA)
 
@@ -30,21 +29,24 @@ def lte_mmw_table(lte_snr, mmw_snr, required=0.0,
 
 
 class TestSelectMs:
+    # the MS choice is the table's strongest station, which no load changes
     def test_single_station_above_threshold(self):
         table = make_table([[3.0]], [1e9], [False])
-        assert ms_choice(table, 0, no_load(table)) == 0
+        assert table.strongest_bs[0] == 0
 
     def test_ignores_load(self):
+        # MR leaves the crowded station 1; MS keeps its higher SNR
         table = make_table([[10.0, 12.0]], [1e9, 1e9], [False, False])
-        assert ms_choice(table, 0, np.array([1, 1000])) == 1
+        assert mr_choice(table, 0, np.array([1, 1000])) == 0
+        assert table.strongest_bs[0] == 1
 
     def test_exact_tie_takes_lowest_id(self):
         table = make_table([[7.0, 7.0, 7.0]], [1e9] * 3, [False] * 3)
-        assert ms_choice(table, 0, no_load(table)) == 0
+        assert table.strongest_bs[0] == 0
 
     def test_all_outage_returns_none(self):
         table = make_table([[-6.0, -10.0]], [1e9, 1e9], [False, False])
-        assert ms_choice(table, 0, no_load(table)) == NO_BS
+        assert table.strongest_bs[0] == NO_BS
 
 
 class TestSelectMr:
@@ -113,8 +115,7 @@ class TestDecisionInvariants:
             b = rng.uniform(-30.0, 30.0)
             transformed = make_table(a * snr + b, [1e9] * 5, [False] * 5,
                                      snr_threshold_db=a * -5.0 + b)
-            assert ms_choice(table, 0, no_load(table)) == \
-                ms_choice(transformed, 0, no_load(transformed))
+            assert table.strongest_bs[0] == transformed.strongest_bs[0]
 
     def test_determinism(self, rng):
         snr = rng.uniform(-10, 40, size=(1, 6))
