@@ -4,7 +4,6 @@ from ._version import __version__
 from .channel import (
     NO_BS,
     LinkTable,
-    Tier,
     build_link_table,
     los_probability_lte,
     los_probability_mmw,
@@ -31,27 +30,24 @@ from .engine import (
 )
 from .geometry import Snapshot, build_snapshot
 from .metrics import (
-    CellSummary,
     RunMetrics,
     compute_run_metrics,
     jain_index,
-    lte_ratio,
     mean_rate_per_class,
-    satisfaction_ratio,
     summarize,
     worst_decile_mean,
 )
-from .output import CSV_COLUMNS, write_results
+from .output import write_results
 from .policy import POLICY_KERNELS
 
 __all__ = [
-    "__version__", "AssociationState", "CellSummary", "ChannelParams",
-    "ConfigError", "CSV_COLUMNS", "LinkTable", "NO_BS", "POLICY_KERNELS",
-    "Policy", "RunMetrics", "RunResult", "ScenarioConfig", "Snapshot", "Tier",
-    "TierRadio", "build_link_table", "build_snapshot", "compute_run_metrics",
+    "__version__", "AssociationState", "ChannelParams", "ConfigError",
+    "LinkTable", "NO_BS", "POLICY_KERNELS", "Policy", "RunMetrics",
+    "RunResult", "ScenarioConfig", "Snapshot", "TierRadio",
+    "build_link_table", "build_snapshot", "compute_run_metrics",
     "config_from_dict", "derive_run_seed", "initial_attach", "jain_index",
-    "load_config", "los_probability_lte", "los_probability_mmw", "lte_ratio",
+    "load_config", "los_probability_lte", "los_probability_mmw",
     "mean_rate_per_class", "realized_rates", "run_campaign", "run_once",
-    "run_spec", "satisfaction_ratio", "steady_state", "summarize",
-    "worst_decile_mean", "write_results",
+    "run_spec", "steady_state", "summarize", "worst_decile_mean",
+    "write_results",
 ]

@@ -11,15 +11,16 @@ both layers read that choice off the table (``LinkTable.strongest_bs``),
 so an MS run calls no rule, and no vehicle moves after the initial attach.
 The engine calls the load-dependent rules, MR and RA, only through
 ``policy.POLICY_KERNELS``, looked up at each call, and a call evaluates the
-rule for a block of vehicles at once. The reassignment loop evaluates it
-once for every vehicle. After that, a move only marks stale the vehicles
-whose choice it can change (``policy.unsettled``): a move changes the
-post-join rate of the station it leaves and of the one it joins, and
-nothing else. The stale set is evaluated in one call, at the loads of the
-moment, when a pick reaches a stale vehicle and at each block boundary, so
-one call usually covers several moves. The other picks change nothing, so
-they are counted without an evaluation, and the loop returns exactly what a
-loop evaluating every pick would return.
+rule for a block of vehicles at once. The reassignment loop starts with
+every vehicle stale, so the first block boundary evaluates the rule once for
+all of them. After that, a move only marks stale the vehicles whose choice
+it can change (``policy.unsettled``): a move changes the post-join rate of
+the station it leaves and of the one it joins, and nothing else. The stale
+set is evaluated in one call, at the loads of the moment, when a pick
+reaches a stale vehicle and at each block boundary, so one call usually
+covers several moves. The other picks change nothing, so they are counted
+without an evaluation, and the loop returns exactly what a loop evaluating
+every pick would return.
 """
 from __future__ import annotations
 
@@ -153,11 +154,12 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     adds to ``stale`` and ``dirty`` the vehicles ``policy.unsettled`` flags;
     every other choice, dirty or not, compares the same rates as before and
     stays exact. The rule is evaluated at the current loads for every stale
-    vehicle at once: first for everyone, then when a pick reaches a stale
-    vehicle and at each block boundary. So ``dirty`` is exact wherever the
-    loop decides to move, to draw a block or to stop. A pick of a clean
-    vehicle, stale or not, changes nothing; a dirty pick moves to its
-    ``choice``. A bar is set when its vehicle is evaluated and is not
+    vehicle at once, at each block boundary and when a pick reaches a stale
+    vehicle; every vehicle starts stale, so the first block boundary
+    evaluates them all before a pick is drawn. So ``dirty`` is exact
+    wherever the loop decides to move, to draw a block or to stop. A pick of
+    a clean vehicle, stale or not, changes nothing; a dirty pick moves to
+    its ``choice``. A bar is set when its vehicle is evaluated and is not
     raised after: the rate at a vehicle's choice falls only at a move that
     flags it, and rises at a move away from it, so the bar of a vehicle
     that is not stale can be too low, never too high, and a bar too low only
@@ -165,30 +167,26 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     generator as a loop that evaluates every pick, so the result is the
     same. Once no vehicle is dirty no pick can move one, so no further
     block is drawn. Under MS the choices are ``link_table.strongest_bs``,
-    read without a rule call, and a move unsettles no vehicle, so no bar is
-    kept and ``policy.unsettled`` is not called; straight after the initial
-    attach no vehicle is dirty, and the loop returns min(window, cap) picks
-    without drawing one.
+    read without a rule call, and a move unsettles no vehicle, so no vehicle
+    starts stale, no bar is kept and ``policy.unsettled`` is not called;
+    straight after the initial attach no vehicle is dirty, and the loop
+    returns min(window, cap) picks without drawing one. A table with no
+    vehicle draws none either and returns (state, 0, True).
     """
     m = link_table.n_vn
-    if m == 0:
-        return state, 0, True
     window = math.ceil(no_change_window_multiplier * m)
     cap = math.ceil(pick_cap_multiplier * m)
     assignment, loads = state.assignment, state.loads
-    everyone = np.arange(m)
     if policy is Policy.MS:
         # MS ignores loads: its choices are the table's for good and a move
         # unsettles nobody, so neither a rule call nor bars are needed
         choice, bar = link_table.strongest_bs, None
-        dirty = choice != assignment
+        stale = np.zeros(m, dtype=bool)
     else:
-        choice, rate = POLICY_KERNELS[policy](link_table, assignment, loads, everyone)
-        dirty = choice != assignment
-        # the bars count only once a vehicle moves
-        bar = (thresholds(link_table, policy, everyone, choice, rate)
-               if dirty.any() else None)
-    stale = np.zeros(m, dtype=bool)
+        # every vehicle starts stale: the first block boundary evaluates all
+        choice, bar = assignment.copy(), np.empty((2, m))
+        stale = np.ones(m, dtype=bool)
+    dirty = stale | (choice != assignment)
 
     def evaluate():
         # ndarray.nonzero skips the ravel and dispatch of np.flatnonzero
@@ -230,7 +228,7 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
                 loads[new] += 1
             assignment[vn] = new
             dirty[vn] = False
-            if policy is not Policy.MS:
+            if bar is not None:
                 flagged = unsettled(link_table, assignment, loads, choice, bar, old, new)
                 stale |= flagged
                 dirty |= flagged

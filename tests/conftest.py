@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from v2isim import ChannelParams, LinkTable, Tier, TierRadio, channel
+from v2isim import ChannelParams, LinkTable, TierRadio, channel
+from v2isim.channel import Tier
 
 
 def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,

@@ -23,11 +23,11 @@ from v2isim import (
     jain_index,
     realized_rates,
     run_campaign,
-    Tier,
     run_once,
     steady_state,
 )
 from v2isim import channel
+from v2isim.channel import Tier
 from v2isim.metrics import compute_run_metrics, summarize
 from conftest import flat_mmw_params, make_table
 import oracles

@@ -10,7 +10,6 @@ from v2isim import (
     ChannelParams,
     ScenarioConfig,
     Snapshot,
-    Tier,
     build_link_table,
     build_snapshot,
     los_probability_lte,
@@ -18,6 +17,7 @@ from v2isim import (
     realized_rates,
 )
 from v2isim import channel
+from v2isim.channel import Tier
 from conftest import flat_mmw_params, los_snr_db, make_table
 
 PARAMS = ChannelParams()

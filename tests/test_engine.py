@@ -315,6 +315,19 @@ class TestSteadyState:
             state, None, table, Policy.MR, np.random.default_rng(0))
         assert converged and picks == 0
 
+    @pytest.mark.parametrize("policy", list(Policy))
+    def test_no_vehicle_draws_nothing_and_calls_no_rule(self, policy):
+        # the general path, with no vehicle stale, dirty or drawn
+        table = make_table(np.zeros((0, 2)), [1e9, 1e9], [False, False])
+        state = initial_attach(None, table, policy)
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with counted_rules() as calls:
+            got = steady_state(state, None, table, policy, rng)
+        assert got == (state, 0, True)
+        assert calls == []
+        assert rng.bit_generator.state == before
+
     @PROPERTY_SETTINGS
     @given(data=st.data(), policy=st.sampled_from(list(Policy)),
            window=st.floats(0.1, 8.0), cap=st.floats(0.1, 30.0),

@@ -7,14 +7,17 @@ import pytest
 from v2isim import (
     Policy,
     jain_index,
-    lte_ratio,
     mean_rate_per_class,
-    satisfaction_ratio,
     summarize,
     worst_decile_mean,
 )
 from v2isim.engine import TIER_LTE, TIER_MMWAVE, TIER_NONE, RunResult
-from v2isim.metrics import RunMetrics, compute_run_metrics
+from v2isim.metrics import (
+    RunMetrics,
+    compute_run_metrics,
+    lte_ratio,
+    satisfaction_ratio,
+)
 
 
 def arr(values, dtype=float):
