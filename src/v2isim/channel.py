@@ -16,7 +16,7 @@ a checked ``ScenarioConfig``, so nothing here checks them again.
 from __future__ import annotations
 
 import math
-from enum import Enum
+from enum import IntEnum
 from functools import cached_property
 
 import numpy as np
@@ -32,9 +32,13 @@ NO_BS = -1
 _ROW_BLOCK = 128
 
 
-class Tier(Enum):
-    LTE = "LTE"
-    MMWAVE = "MMWAVE"
+class Tier(IntEnum):
+    """A station's tier, or a vehicle's serving tier (NONE when unattached),
+    by the int8 codes ``RunResult.tier`` carries and the names the
+    per-vehicle dump writes."""
+    NONE = 0
+    LTE = 1
+    MMWAVE = 2
 
 
 def los_probability_lte(d_2d_m):

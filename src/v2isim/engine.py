@@ -20,7 +20,8 @@ set is evaluated in one call, at the loads of the moment, when a pick
 reaches a stale vehicle and at each block boundary, so one call usually
 covers several moves. The other picks change nothing, so they are counted
 without an evaluation, and the loop returns exactly what a loop evaluating
-every pick would return.
+every pick would return. The tests assert the loads invariant of
+``AssociationState`` after every layer call (``oracles.check_state``).
 """
 from __future__ import annotations
 
@@ -30,13 +31,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .channel import NO_BS, LinkTable, build_link_table
+from .channel import NO_BS, LinkTable, Tier, build_link_table
 from .config import Policy, ScenarioConfig, density_key
 from .geometry import Snapshot, build_snapshot
 from .policy import POLICY_KERNELS, thresholds, unsettled
-
-TIER_NONE, TIER_LTE, TIER_MMWAVE = 0, 1, 2
-TIER_NAMES = {TIER_NONE: "NONE", TIER_LTE: "LTE", TIER_MMWAVE: "MMWAVE"}
 
 _PICK_BATCH = 4096
 _SCAN_WIDTH = 64
@@ -45,37 +43,26 @@ _ATTACH_BLOCK = 32
 
 @dataclass
 class AssociationState:
-    """Vehicle -> base-station map plus per-station load counters.
-
-    assignment[i] is the station id or -1 when unattached; loads[j] always
-    equals the number of vehicles currently mapped to j.
-    """
+    """Vehicle -> base-station map plus per-station load counters:
+    assignment[i] is the station id or -1 when unattached, and loads[j] the
+    number of vehicles mapped to j, as the tests assert (``oracles.check_state``)."""
 
     assignment: np.ndarray
     loads: np.ndarray
 
-    def check(self) -> None:
-        """Recount loads from the assignment and verify consistency."""
-        counts = np.bincount(self.assignment[self.assignment >= 0],
-                             minlength=self.loads.size)
-        if not np.array_equal(counts, self.loads):
-            raise AssertionError("load counters diverged from assignment")
-        unattached = int(np.sum(self.assignment == NO_BS))
-        total = int(self.loads.sum()) + unattached
-        if total != self.assignment.size:
-            raise AssertionError("loads + unattached != vehicle count")
-
 
 @dataclass
 class RunResult:
-    """Per-vehicle outcome of one simulated snapshot."""
+    """Per-vehicle outcome of one simulated snapshot: the snapshot's class,
+    region and requirement arrays, and each vehicle's final station and
+    realized rate. Stations below ``n_lte`` are LTE."""
 
     lambda_m: float
     policy: Policy
     class_k: np.ndarray
     in_region: np.ndarray
     required_rate_bps: np.ndarray
-    tier: np.ndarray
+    n_lte: int
     bs_id: np.ndarray
     rate_bps: np.ndarray
     convergence_iterations: int
@@ -85,6 +72,13 @@ class RunResult:
     @property
     def n_vn(self) -> int:
         return self.rate_bps.size
+
+    @property
+    def tier(self) -> np.ndarray:
+        """Each vehicle's serving ``Tier`` as its int8 code."""
+        bs = self.bs_id
+        return np.where(bs == NO_BS, Tier.NONE,
+                        np.where(bs < self.n_lte, Tier.LTE, Tier.MMWAVE)).astype(np.int8)
 
 
 def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
@@ -115,8 +109,6 @@ def initial_attach(snapshot: Snapshot | None, link_table: LinkTable,
         assignment[start:start + choice.size] = choice
         np.add.at(loads, choice[choice != NO_BS], 1)
         start += choice.size
-    if __debug__:
-        state.check()
     return state
 
 
@@ -232,8 +224,6 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
                 flagged = unsettled(link_table, assignment, loads, choice, bar, old, new)
                 stale |= flagged
                 dirty |= flagged
-    if __debug__:
-        state.check()
     return state, min(cap, settled + window), settled + window <= cap
 
 
@@ -269,27 +259,21 @@ def run_once(config: ScenarioConfig, lambda_m: float, policy: Policy,
     """One full snapshot simulation, deterministic in (config, seed)."""
     rng = np.random.default_rng(seed)
     snapshot = build_snapshot(config, lambda_m, rng)
-    table = build_link_table(snapshot, rng, config.channel,
-                             config.snr_threshold_db)
+    table = build_link_table(snapshot, rng, config.channel, config.snr_threshold_db)
     state = initial_attach(snapshot, table, policy)
     state, picks, converged = steady_state(
         state, snapshot, table, policy, rng,
         no_change_window_multiplier=config.no_change_window_multiplier,
         pick_cap_multiplier=config.pick_cap_multiplier)
-    rates = realized_rates(state, table)
-    bs = state.assignment
-    tier = np.where(bs == NO_BS, TIER_NONE,
-                    np.where(bs < snapshot.n_lte, TIER_LTE, TIER_MMWAVE)
-                    ).astype(np.int8)
     return RunResult(
         lambda_m=lambda_m,
         policy=policy,
         class_k=snapshot.class_k.astype(np.int8),
         in_region=snapshot.in_region,
-        required_rate_bps=snapshot.required_rate_bps.copy(),
-        tier=tier,
-        bs_id=state.assignment.copy(),
-        rate_bps=rates,
+        required_rate_bps=snapshot.required_rate_bps,
+        n_lte=snapshot.n_lte,
+        bs_id=state.assignment,
+        rate_bps=realized_rates(state, table),
         convergence_iterations=picks,
         converged=converged,
     )

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import Tier
 from .config import N_CLASSES
-from .engine import RunResult, TIER_LTE
+from .engine import RunResult
 
 
 def mean_rate_per_class(rates: np.ndarray) -> float:
@@ -50,7 +51,7 @@ def lte_ratio(tier: np.ndarray) -> float:
     count in the denominator only)."""
     if tier.size == 0:
         return math.nan
-    return float(np.mean(tier == TIER_LTE))
+    return float(np.mean(tier == Tier.LTE))
 
 
 def jain_index(rates: np.ndarray) -> float:

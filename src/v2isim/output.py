@@ -11,8 +11,9 @@ import math
 from typing import IO, Iterable
 
 from ._version import __version__
+from .channel import Tier
 from .config import N_CLASSES, POLICY_NAMES, ScenarioConfig
-from .engine import RunResult, TIER_NAMES
+from .engine import RunResult
 from .metrics import CellSummary
 
 CSV_COLUMNS = (
@@ -86,12 +87,12 @@ def write_run_dump(result: RunResult, stream: IO[str],
         _fmt(result.lambda_m), result.policy.value, result.run_index,
         result.converged))
     stream.write(",".join(RUN_DUMP_COLUMNS) + "\n")
-    for i in range(result.n_vn):
+    for i, tier in enumerate(result.tier.tolist()):
         stream.write(",".join([
             str(i),
             str(int(result.class_k[i])),
             str(int(result.in_region[i])),
-            TIER_NAMES[int(result.tier[i])],
+            Tier(tier).name,
             str(int(result.bs_id[i])),
             _fmt(float(result.required_rate_bps[i])),
             _fmt(float(result.rate_bps[i])),

@@ -16,7 +16,8 @@ row by row.
 engine's greedy first pass and randomized best-response loop in their plain
 form, one reference-rule call per vehicle or pick; the engine must return
 exactly what they return. ``absorption_law`` is the exact law of the fixed
-point at which that loop ends.
+point at which that loop ends. ``check_state`` asserts the loads invariant
+of an ``AssociationState``; the tests call it after every layer call.
 """
 import itertools
 import math
@@ -27,6 +28,20 @@ from v2isim import NO_BS, AssociationState, Policy
 from v2isim.engine import _PICK_BATCH
 
 NONE = -1
+
+
+def check_state(state):
+    """Assert that ``state.loads`` counts the vehicles ``state.assignment``
+    maps to each station, and that those loads and the unattached vehicles
+    add up to every vehicle. Returns the state."""
+    counts = np.bincount(state.assignment[state.assignment >= 0],
+                         minlength=state.loads.size)
+    if not np.array_equal(counts, state.loads):
+        raise AssertionError("load counters diverged from assignment")
+    unattached = int(np.sum(state.assignment == NO_BS))
+    if int(state.loads.sum()) + unattached != state.assignment.size:
+        raise AssertionError("loads + unattached != vehicle count")
+    return state
 
 
 def unit_rates(snr_rows, bandwidth_hz, threshold_db):
@@ -205,9 +220,7 @@ def reference_steady_state(state, snapshot, link_table, policy, rng, *,
                     break
             else:
                 streak = 0
-    if __debug__:
-        state.check()
-    return state, picks, converged
+    return check_state(state), picks, converged
 
 
 def absorption_law(link_table, policy):

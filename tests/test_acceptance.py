@@ -4,11 +4,18 @@ One line per criterion is printed to the real stdout (bypassing capture)
 so long campaign runs stream their verdicts live. The heavy-load campaign
 (200 runs per cell over the full density grid, three policies) takes a
 few minutes on two cores.
+
+Beside the numbered criteria, the campaign law test holds both campaigns to
+the per-cell means pinned in ``tests/golden/campaign_law.json``. Running
+this file as a script, ``python tests/test_acceptance.py OUT``, runs both
+campaigns and writes their law to OUT.
 """
+import json
 import math
 import os
 import sys
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +35,7 @@ from v2isim import (
 )
 from v2isim import channel
 from v2isim.channel import Tier
+from v2isim.config import N_CLASSES
 from v2isim.metrics import compute_run_metrics, summarize
 from conftest import flat_mmw_params, make_table
 import oracles
@@ -35,6 +43,23 @@ import oracles
 N_SIM = 200
 SEED = 20260809
 GRID = tuple(float(x) for x in range(4, 84, 4))
+
+CAMPAIGNS = {
+    # an average of 10 vehicles per mmWave station
+    "heavy": ScenarioConfig(n_sim=N_SIM, master_seed=SEED,
+                            mmw_density_grid_per_km2=GRID),
+    # exactly 500 vehicles
+    "fixed500": ScenarioConfig(n_sim=N_SIM, master_seed=SEED, vn_mode="FIXED",
+                               fixed_vn_count=500,
+                               mmw_density_grid_per_km2=(20.0, 40.0, 80.0),
+                               policies=("MR", "RA")),
+}
+
+LAW = Path(__file__).parent / "golden" / "campaign_law.json"
+# over the 660 figures of the two campaigns and their 50 per-policy
+# combinations, an unchanged law exceeds it with probability about 0.48%
+# (a union bound of two-sided normal tails)
+LAW_BOUND_SE = 4.5
 
 PROPERTY_SETTINGS = settings(
     max_examples=10_000, deadline=None, derandomize=True, database=None,
@@ -46,34 +71,37 @@ def _workers() -> int:
     return max(1, min(2, os.cpu_count() or 1))
 
 
-def _summarize_campaign(cfg):
+def _campaign_runs(name):
+    """The per-run ``RunMetrics`` of one of ``CAMPAIGNS``, by (density,
+    policy) cell."""
+    cfg = CAMPAIGNS[name]
+    runs = len(cfg.mmw_density_grid_per_km2) * len(cfg.policies) * cfg.n_sim
+    print(f"\n[acceptance] {name} campaign: {runs} runs", file=sys.__stdout__, flush=True)
     per_cell = defaultdict(list)
     for result in run_campaign(cfg, workers=_workers()):
         key = (result.lambda_m, result.policy.value)
         per_cell[key].append(compute_run_metrics(result))
-    return {key: summarize(rows) for key, rows in per_cell.items()}
+    return dict(per_cell)
 
 
 @pytest.fixture(scope="session")
-def heavy():
-    """Heavy-load campaign: an average of 10 vehicles per mmWave station."""
-    cfg = ScenarioConfig(n_sim=N_SIM, master_seed=SEED,
-                         mmw_density_grid_per_km2=GRID)
-    print(f"\n[acceptance] heavy-load campaign: {len(GRID) * 3 * N_SIM} runs",
-          file=sys.__stdout__, flush=True)
-    return _summarize_campaign(cfg)
+def heavy_runs():
+    return _campaign_runs("heavy")
 
 
 @pytest.fixture(scope="session")
-def fixed500():
-    """Fixed-load campaign: exactly 500 vehicles."""
-    cfg = ScenarioConfig(n_sim=N_SIM, master_seed=SEED, vn_mode="FIXED",
-                         fixed_vn_count=500,
-                         mmw_density_grid_per_km2=(20.0, 40.0, 80.0),
-                         policies=("MR", "RA"))
-    print(f"\n[acceptance] fixed-load campaign: {3 * 2 * N_SIM} runs",
-          file=sys.__stdout__, flush=True)
-    return _summarize_campaign(cfg)
+def heavy(heavy_runs):
+    return {key: summarize(rows) for key, rows in heavy_runs.items()}
+
+
+@pytest.fixture(scope="session")
+def fixed500_runs():
+    return _campaign_runs("fixed500")
+
+
+@pytest.fixture(scope="session")
+def fixed500(fixed500_runs):
+    return {key: summarize(rows) for key, rows in fixed500_runs.items()}
 
 
 def check_criterion(num, title, checks):
@@ -188,6 +216,84 @@ def test_criterion_07_fixed_load_scenario(fixed500):
     check_criterion(7, "fixed-load (500 vehicles) scenario", checks)
 
 
+# --- the campaign law: per-cell means against their pinned values --------
+
+def _run_figures(row):
+    """The per-run figures that a cell averages over its runs; the pooled
+    worst-decile rate has no per-run value and stays under criterion 4."""
+    return {"p_lte": row.p_lte, "p_sat": row.p_sat,
+            **{f"mean_rate_{k + 1}_bps": row.mean_rate_bps[k] for k in range(N_CLASSES)},
+            **{f"jain_{k + 1}": row.jain[k] for k in range(N_CLASSES)}}
+
+
+def campaign_law(per_cell):
+    """{"<density> <policy>": {figure: [mean, standard error]}}, both over
+    the runs in which the figure is defined; [None, None] when no run
+    defines it."""
+    order = [p.value for p in Policy]
+    law = {}
+    for lam, pol in sorted(per_cell, key=lambda key: (key[0], order.index(key[1]))):
+        runs = [_run_figures(row) for row in per_cell[(lam, pol)]]
+        cell = {}
+        for figure in runs[0]:
+            values = np.array([run[figure] for run in runs])
+            values = values[~np.isnan(values)]
+            if values.size == 0:
+                cell[figure] = [None, None]
+                continue
+            se = values.std(ddof=1) / math.sqrt(values.size) if values.size > 1 else 0.0
+            cell[figure] = [float(values.mean()), float(se)]
+        law[f"{lam:g} {pol}"] = cell
+    return law
+
+
+def test_campaign_law(heavy_runs, fixed500_runs):
+    """Each cell's mean of each per-run figure lies within LAW_BOUND_SE
+    standard errors of the difference from its pinned mean. So does each
+    figure's combined z over the cells of one policy in one campaign,
+    sum(z) / sqrt(cells) (Stouffer): those cells differ in density, so they
+    draw from independent seeds, and the sum is standard normal under an
+    unchanged law. It sees a small shift that the cells share."""
+    pinned = json.loads(LAW.read_text())
+    now = {"heavy": campaign_law(heavy_runs), "fixed500": campaign_law(fixed500_runs)}
+    assert {name: list(law) for name, law in now.items()} == \
+        {name: list(law) for name, law in pinned.items()}, "the campaigns' cells changed"
+    off, moved, largest, count = [], 0, 0.0, 0
+
+    def judge(label, z):
+        nonlocal largest, count
+        count += 1
+        largest = max(largest, abs(z))
+        if not abs(z) <= LAW_BOUND_SE:  # NaN fails too
+            off.append(f"{label} at {z:+.1f} se")
+
+    for name, law in pinned.items():
+        combined = defaultdict(list)
+        for cell, figures in law.items():
+            policy = cell.split()[1]
+            for figure, (mean, se) in figures.items():
+                got, got_se = now[name][cell][figure]
+                if mean is None or got is None:
+                    if (mean is None) != (got is None):
+                        off.append(f"{name} {cell} {figure} defined in one law only")
+                    continue
+                z = 0.0
+                if got != mean:
+                    moved += 1
+                    se_gap = math.hypot(got_se, se)
+                    z = (got - mean) / se_gap if se_gap else math.copysign(math.inf, got - mean)
+                combined[(policy, figure)].append(z)
+                judge(f"{name} {cell} {figure} ({got:.6g} against {mean:.6g})", z)
+        for (policy, figure), zs in combined.items():
+            judge(f"{name} {policy} {figure} over {len(zs)} cells", sum(zs) / math.sqrt(len(zs)))
+    line = (f"ACCEPTANCE campaign law [{'FAIL' if off else 'PASS'}]: {count} statistics, "
+            f"{moved} means differ from the pin, largest |z| {largest:.2f}")
+    if off:
+        line += " -- outside the bound: " + "; ".join(off)
+    print(line, file=sys.__stdout__, flush=True)
+    assert not off, line
+
+
 # --- criterion 8: oracle equivalence on micro instances -------------------
 
 def _random_micro_instance(rng):
@@ -201,11 +307,12 @@ def _random_micro_instance(rng):
 
 
 def _engine_steady(table, policy, seed):
-    state = initial_attach(None, table, policy)
-    return steady_state(state, None, table, policy,
-                        np.random.default_rng(seed),
-                        no_change_window_multiplier=50.0,
-                        pick_cap_multiplier=400.0)
+    state = oracles.check_state(initial_attach(None, table, policy))
+    state, picks, converged = steady_state(state, None, table, policy,
+                                           np.random.default_rng(seed),
+                                           no_change_window_multiplier=50.0,
+                                           pick_cap_multiplier=400.0)
+    return oracles.check_state(state), picks, converged
 
 
 def test_criterion_08_oracle_equivalence():
@@ -326,11 +433,10 @@ def prop_load_consistency_through_dynamics(data):
     seed = data.draw(st.integers(0, 2**31), label="seed")
     snr = np.array(snr_cents, dtype=float).reshape(n_vn, n_bs) / 100.0
     table = make_table(snr, [1e9] * n_bs, [False] * n_bs)
-    state = initial_attach(None, table, policy)
-    state.check()
+    state = oracles.check_state(initial_attach(None, table, policy))
     state, _, _ = steady_state(state, None, table, policy,
                                np.random.default_rng(seed))
-    state.check()
+    oracles.check_state(state)
     assert int(state.loads.sum()) + int(np.sum(state.assignment == -1)) == n_vn
 
 
@@ -369,3 +475,9 @@ def test_criterion_09_property_suite():
             first_line = str(exc).strip().splitlines()[:1] or [repr(exc)]
             checks.append((f"{title} ({first_line[0]})", False))
     check_criterion(9, "property suite at 10^4 cases each", checks)
+
+
+if __name__ == "__main__":
+    # regenerate the pinned campaign law: python tests/test_acceptance.py OUT
+    Path(sys.argv[1]).write_text(json.dumps(
+        {name: campaign_law(_campaign_runs(name)) for name in CAMPAIGNS}, indent=1) + "\n")

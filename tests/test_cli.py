@@ -1,10 +1,13 @@
 import io
 import json
 
+import numpy as np
 import pytest
 
+from v2isim import Policy, ScenarioConfig
 from v2isim.cli import main
-from v2isim.output import CSV_COLUMNS
+from v2isim.engine import RunResult
+from v2isim.output import CSV_COLUMNS, write_run_dump
 
 FAST = ["--lambda-m", "4", "--policy", "MS", "--runs", "2", "--seed", "7"]
 FAST_CFG = {"vn_mode": "FIXED", "fixed_vn_count": 30}
@@ -237,6 +240,18 @@ class TestDumpRun:
             assert int(row[2]) == int(result.in_region[i])
             assert int(row[4]) == result.bs_id[i]
             assert float(row[6]) == pytest.approx(float(result.rate_bps[i]), rel=1e-5)
+
+    def test_tier_column_names_the_serving_tier(self):
+        # station 0 is the one LTE station: unattached, LTE, mmWave
+        ones = np.ones(3)
+        result = RunResult(lambda_m=4.0, policy=Policy.MR, class_k=np.array([1, 2, 3]),
+                           in_region=ones > 0, required_rate_bps=ones, n_lte=1,
+                           bs_id=np.array([-1, 0, 1]), rate_bps=ones,
+                           convergence_iterations=0, converged=True, run_index=0)
+        out = io.StringIO()
+        write_run_dump(result, out, ScenarioConfig())
+        rows = [line.split(",") for line in data_lines(out.getvalue())[1:]]
+        assert [row[3] for row in rows] == ["NONE", "LTE", "MMWAVE"]
 
     def test_bad_spec_is_exit_1(self, capsys):
         code, _, err = run_cli(capsys, "--dump-run", "nonsense")

@@ -23,7 +23,8 @@ from v2isim import (
     steady_state,
 )
 from v2isim import engine
-from v2isim.engine import _ATTACH_BLOCK, TIER_LTE, TIER_MMWAVE, TIER_NONE
+from v2isim.channel import Tier
+from v2isim.engine import _ATTACH_BLOCK
 from v2isim.policy import thresholds, unsettled
 from conftest import make_table
 import oracles
@@ -130,6 +131,7 @@ def counted_rules():
 
 def assert_same_as_reference(table, policy, state, seed, **multipliers):
     """Returns the blocks of picks the engine and the reference drew."""
+    oracles.check_state(state)
     ref = AssociationState(state.assignment.copy(), state.loads.copy())
     rule = oracles.REFERENCE_RULES[policy]
 
@@ -142,6 +144,7 @@ def assert_same_as_reference(table, policy, state, seed, **multipliers):
         state, None, table, policy, rng, **multipliers)
     want, ref_picks, ref_converged = oracles.reference_steady_state(
         ref, None, table, policy, ref_rng, **multipliers)
+    oracles.check_state(got)
     assert np.array_equal(got.assignment, want.assignment)
     assert np.array_equal(got.loads, want.loads)
     assert (picks, converged) == (ref_picks, ref_converged)
@@ -156,7 +159,7 @@ def assert_attach_is_greedy_pass(table, policy):
     reference rule; under MS it calls no rule."""
     want = oracles.reference_initial_attach(table, policy)
     with counted_rules() as calls:
-        got = initial_attach(None, table, policy)
+        got = oracles.check_state(initial_attach(None, table, policy))
     if policy is Policy.MS:
         assert calls == []
     assert len(calls) <= table.n_vn
@@ -169,8 +172,8 @@ def assert_attach_is_greedy_pass(table, policy):
 def expected_tier(bs, n_lte):
     """A vehicle's tier from its station id: station j is LTE iff j < n_lte."""
     if bs == NO_BS:
-        return TIER_NONE
-    return TIER_LTE if bs < n_lte else TIER_MMWAVE
+        return Tier.NONE
+    return Tier.LTE if bs < n_lte else Tier.MMWAVE
 
 
 def loads_without(assignment, loads, vn):
@@ -182,11 +185,12 @@ def loads_without(assignment, loads, vn):
 
 
 def run_engine(table, policy, seed=0, window=50.0, cap=400.0):
-    state = initial_attach(None, table, policy)
-    return steady_state(state, None, table, policy,
-                        np.random.default_rng(seed),
-                        no_change_window_multiplier=window,
-                        pick_cap_multiplier=cap)
+    state = oracles.check_state(initial_attach(None, table, policy))
+    state, picks, converged = steady_state(state, None, table, policy,
+                                           np.random.default_rng(seed),
+                                           no_change_window_multiplier=window,
+                                           pick_cap_multiplier=cap)
+    return oracles.check_state(state), picks, converged
 
 
 class TestInitialAttach:
@@ -518,8 +522,17 @@ class TestSteadyState:
             snr = rng.uniform(-15, 40, size=(n_vn, n_bs))
             table = make_table(snr, [1e9] * n_bs, [False] * n_bs)
             state, _, _ = run_engine(table, Policy.MR, seed=3)
-            state.check()
+            oracles.check_state(state)
             assert int(state.loads.sum()) + int(np.sum(state.assignment == -1)) == n_vn
+
+    def test_check_state_catches_planted_faults(self):
+        assignment = np.array([0, 1, NO_BS])
+        oracles.check_state(AssociationState(assignment, np.array([1, 1])))
+        # a load off by one, and a station load that counts the unattached
+        # vehicle 2
+        for loads in ([0, 1], [2, 1]):
+            with pytest.raises(AssertionError):
+                oracles.check_state(AssociationState(assignment, np.array(loads)))
 
 
 # The law test's contended micro instances: 3-6 vehicles on 2-3 stations,
@@ -763,6 +776,8 @@ class TestRunOnce:
         # the snapshot is the first thing a run draws
         snap = build_snapshot(cfg, lam, np.random.default_rng(seed))
         result = run_once(cfg, lam, policy, seed)
+        # derived from the stations, not stored beside them
+        assert "tier" not in vars(result)
         assert result.tier.dtype == np.int8
         assert result.tier.tolist() == [expected_tier(bs, snap.n_lte)
                                         for bs in result.bs_id.tolist()]
@@ -773,7 +788,7 @@ class TestRunOnce:
                              lte_density_per_km2=0.0)
         result = run_once(cfg, 0.0, policy, 9)
         assert result.bs_id.tolist() == [NO_BS] * 5
-        assert result.tier.tolist() == [TIER_NONE] * 5
+        assert result.tier.tolist() == [Tier.NONE] * 5
 
     def test_realized_rates_share_bandwidth_equally(self):
         cfg = ScenarioConfig()

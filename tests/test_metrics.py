@@ -11,7 +11,8 @@ from v2isim import (
     summarize,
     worst_decile_mean,
 )
-from v2isim.engine import TIER_LTE, TIER_MMWAVE, TIER_NONE, RunResult
+from v2isim.channel import Tier
+from v2isim.engine import RunResult
 from v2isim.metrics import (
     RunMetrics,
     compute_run_metrics,
@@ -25,16 +26,16 @@ def arr(values, dtype=float):
 
 
 def run_result(class_k, rate_bps, in_region=None, required_rate_bps=None,
-               tier=None, bs_id=None):
-    """A converged MS run at density 4; every vehicle in the region and on
-    LTE station 0 unless given."""
+               bs_id=None):
+    """A converged MS run at density 4 in which station 0 is the one LTE
+    station; every vehicle in the region and on station 0 unless given."""
     n = len(class_k)
     return RunResult(
         lambda_m=4.0, policy=Policy.MS, class_k=arr(class_k, int),
         in_region=arr([True] * n if in_region is None else in_region, bool),
         required_rate_bps=arr([1e6] * n if required_rate_bps is None
                               else required_rate_bps),
-        tier=arr([TIER_LTE] * n if tier is None else tier, int),
+        n_lte=1,
         bs_id=arr([0] * n if bs_id is None else bs_id, int),
         rate_bps=arr(rate_bps), convergence_iterations=10, converged=True)
 
@@ -107,14 +108,14 @@ class TestSatisfactionRatio:
 
 class TestLteRatio:
     def test_all_lte(self):
-        assert lte_ratio(arr([TIER_LTE] * 4, int)) == 1.0
+        assert lte_ratio(arr([Tier.LTE] * 4, int)) == 1.0
 
     def test_half(self):
-        tier = arr([TIER_LTE, TIER_MMWAVE] * 3, int)
+        tier = arr([Tier.LTE, Tier.MMWAVE] * 3, int)
         assert lte_ratio(tier) == 0.5
 
     def test_unattached_count_in_denominator(self):
-        tier = arr([TIER_LTE, TIER_NONE, TIER_NONE, TIER_NONE], int)
+        tier = arr([Tier.LTE, Tier.NONE, Tier.NONE, Tier.NONE], int)
         assert lte_ratio(tier) == 0.25
 
     def test_empty_undefined(self):
@@ -229,9 +230,9 @@ class TestComputeRunMetrics:
     def test_only_in_region_records_counted(self):
         result = run_result(
             class_k=[1, 1, 4], in_region=[True, False, True],
-            required_rate_bps=[1e6, 1e6, 1.2e9],
-            tier=[TIER_LTE, TIER_MMWAVE, TIER_NONE], bs_id=[0, 1, -1],
+            required_rate_bps=[1e6, 1e6, 1.2e9], bs_id=[0, 1, -1],
             rate_bps=[2e6, 1e9, 0.0])
+        assert result.tier.tolist() == [Tier.LTE, Tier.MMWAVE, Tier.NONE]
         m = compute_run_metrics(result)
         assert m.p_lte == 0.5  # vehicle 1 is outside the region
         assert m.p_sat == 0.5
