@@ -107,18 +107,18 @@ def _run_campaign(config: ScenarioConfig, args: argparse.Namespace,
                   stream: IO[str]) -> None:
     # Results stream cell by cell in canonical order, so each cell is
     # reduced as soon as its n_sim runs are in and its rates are dropped.
-    summaries = []
+    cells = []
     rows = []
     cells_total = len(config.mmw_density_grid_per_km2) * len(config.policies)
     for result in run_campaign(config, workers=args.parallel):
         rows.append(compute_run_metrics(result))
         if len(rows) == config.n_sim:
-            summaries.append(summarize(rows))
+            cells.append(summarize(rows))
             rows = []
-            print(f"[v2isim] cell {len(summaries)}/{cells_total} done "
+            print(f"[v2isim] cell {len(cells)}/{cells_total} done "
                   f"(lambda_m={result.lambda_m:g}, policy={result.policy.value})",
                   file=sys.stderr, flush=True)
-    write_results(summaries, args.format, stream, config)
+    write_results(cells, args.format, stream, config)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -4,6 +4,11 @@ All metrics are computed over in-region vehicles only. A class with no
 in-region members in a run yields NaN (an undefined marker) and is skipped
 when averaging across runs, never imputed as zero.
 
+Each figure is known by its output column: ``RunMetrics.figures`` holds a
+run's figures by column, and ``summarize`` returns a cell's row keyed by
+``CSV_COLUMNS``, all but ``seed``, which is the campaign's. The columns and
+their order are defined here alone.
+
 A cell reduces its runs in two ways. The mean rate, satisfaction ratio,
 LTE ratio and Jain index are computed per run and then averaged across
 runs. The worst-decile rate is a quantile, and quantiles do not average:
@@ -66,19 +71,25 @@ def jain_index(rates: np.ndarray) -> float:
     return float(total * total / (rates.size * squares))
 
 
+MEAN_RATE, P10, JAIN = "mean_rate_{}_bps", "p10_{}_bps", "jain_{}"
+CLASSES = range(1, N_CLASSES + 1)
+CSV_COLUMNS = ("lambda_m", "policy", "p_lte", "p_sat",
+               *(column.format(k) for k in CLASSES for column in (MEAN_RATE, P10, JAIN)),
+               "run_count", "seed", "nonconverged_runs")
+RUN_FIGURES = ("p_lte", "p_sat", *(MEAN_RATE.format(k) for k in CLASSES),
+               *(JAIN.format(k) for k in CLASSES))
+
+
 @dataclass(frozen=True)
 class RunMetrics:
-    """One run reduced to its LTE ratio, satisfaction ratio and per-class
-    mean rate and Jain index, plus the in-region rates of each class
-    (``class_rates_bps[k - 1]``), which the cell's pooled worst-decile
-    figure needs."""
+    """One run reduced to its per-run figures, keyed by output column in
+    RUN_FIGURES order (``p_lte``, ``p_sat``, ``mean_rate_k_bps``,
+    ``jain_k``), plus each class's in-region rates,
+    ``class_rates_bps[k - 1]``, for the cell's pooled worst-decile figure."""
 
     lambda_m: float
     policy_name: str
-    p_lte: float
-    p_sat: float
-    mean_rate_bps: tuple[float, float, float, float]
-    jain: tuple[float, float, float, float]
+    figures: dict[str, float]
     # arrays have no scalar ==, so they stay out of the generated __eq__
     class_rates_bps: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     converged: bool
@@ -90,40 +101,17 @@ def compute_run_metrics(result: RunResult) -> RunMetrics:
     rates = result.rate_bps[mask]
     classes = result.class_k[mask]
     required = result.required_rate_bps[mask]
-    tier = result.tier[mask]
-    class_rates = tuple(rates[classes == k] for k in range(1, N_CLASSES + 1))
+    class_rates = tuple(rates[classes == k] for k in CLASSES)
     return RunMetrics(
         lambda_m=result.lambda_m,
         policy_name=result.policy.value,
-        p_lte=lte_ratio(tier),
-        p_sat=satisfaction_ratio(rates, required),
-        mean_rate_bps=tuple(mean_rate_per_class(sel) for sel in class_rates),
-        jain=tuple(jain_index(sel) for sel in class_rates),
+        figures=dict(zip(RUN_FIGURES, (
+            lte_ratio(result.tier[mask]), satisfaction_ratio(rates, required),
+            *map(mean_rate_per_class, class_rates), *map(jain_index, class_rates)))),
         class_rates_bps=class_rates,
         converged=result.converged,
         run_index=result.run_index,
     )
-
-
-@dataclass(frozen=True)
-class CellSummary:
-    """One (density, policy) cell.
-
-    ``p10_bps[k]`` is the worst-decile mean of the class-(k+1) rates of all
-    runs pooled (NaN when no run has a class-(k+1) vehicle). Every other
-    figure is the average of the defined per-run values (NaN when no run
-    defines it).
-    """
-
-    lambda_m: float
-    policy_name: str
-    run_count: int
-    nonconverged_runs: int
-    p_lte: float
-    p_sat: float
-    mean_rate_bps: tuple[float, ...]
-    p10_bps: tuple[float, ...]
-    jain: tuple[float, ...]
 
 
 def _nan_mean(values: list[float]) -> float:
@@ -133,10 +121,11 @@ def _nan_mean(values: list[float]) -> float:
     return float(defined.mean()) if defined.size else math.nan
 
 
-def summarize(run_metrics) -> CellSummary:
-    """Aggregate the runs of one cell: per-run figures are averaged with
-    undefined markers skipped; the worst-decile figure is taken over the
-    pooled rates."""
+def summarize(run_metrics) -> dict:
+    """One (density, policy) cell's row: every CSV column but ``seed``. A
+    per-run figure is averaged over the runs that define it (NaN when none
+    does); ``p10_k_bps`` is the worst-decile mean of the pooled class-k rates.
+    """
     rows = sorted(run_metrics,
                   key=lambda r: (r.run_index if r.run_index is not None else 0))
     if not rows:
@@ -145,16 +134,11 @@ def summarize(run_metrics) -> CellSummary:
     if any(r.lambda_m != first.lambda_m or r.policy_name != first.policy_name
            for r in rows):
         raise ValueError("summarize expects runs from a single cell")
-    return CellSummary(
-        lambda_m=first.lambda_m,
-        policy_name=first.policy_name,
-        run_count=len(rows),
-        nonconverged_runs=sum(1 for r in rows if not r.converged),
-        p_lte=_nan_mean([r.p_lte for r in rows]),
-        p_sat=_nan_mean([r.p_sat for r in rows]),
-        mean_rate_bps=tuple(_nan_mean([r.mean_rate_bps[k] for r in rows])
-                            for k in range(N_CLASSES)),
-        p10_bps=tuple(worst_decile_mean(np.concatenate([r.class_rates_bps[k] for r in rows]))
-                      for k in range(N_CLASSES)),
-        jain=tuple(_nan_mean([r.jain[k] for r in rows]) for k in range(N_CLASSES)),
-    )
+    cell = {"lambda_m": float(first.lambda_m), "policy": first.policy_name,
+            "run_count": len(rows),
+            "nonconverged_runs": sum(1 for r in rows if not r.converged)}
+    cell.update((column, _nan_mean([r.figures[column] for r in rows]))
+                for column in RUN_FIGURES)
+    cell.update((P10.format(k), worst_decile_mean(
+        np.concatenate([r.class_rates_bps[k - 1] for r in rows]))) for k in CLASSES)
+    return cell

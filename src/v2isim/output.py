@@ -12,18 +12,9 @@ from typing import IO, Iterable
 
 from ._version import __version__
 from .channel import Tier
-from .config import N_CLASSES, POLICY_NAMES, ScenarioConfig
+from .config import POLICY_NAMES, ScenarioConfig
 from .engine import RunResult
-from .metrics import CellSummary
-
-CSV_COLUMNS = (
-    "lambda_m", "policy", "p_lte", "p_sat",
-    "mean_rate_1_bps", "p10_1_bps", "jain_1",
-    "mean_rate_2_bps", "p10_2_bps", "jain_2",
-    "mean_rate_3_bps", "p10_3_bps", "jain_3",
-    "mean_rate_4_bps", "p10_4_bps", "jain_4",
-    "run_count", "seed", "nonconverged_runs",
-)
+from .metrics import CSV_COLUMNS
 
 RUN_DUMP_COLUMNS = ("vn_id", "class_k", "in_region", "tier", "bs_id",
                     "required_rate_bps", "rate_bps")
@@ -46,24 +37,17 @@ def config_header_lines(config: ScenarioConfig) -> list[str]:
     ]
 
 
-def _cell_values(summary: CellSummary, seed: int) -> list:
-    """One cell's row, in CSV_COLUMNS order."""
-    values = [float(summary.lambda_m), summary.policy_name,
-              summary.p_lte, summary.p_sat]
-    for k in range(N_CLASSES):
-        values += [summary.mean_rate_bps[k], summary.p10_bps[k], summary.jain[k]]
-    return values + [summary.run_count, seed, summary.nonconverged_runs]
-
-
-def write_results(summaries: Iterable[CellSummary], fmt: str, stream: IO[str],
+def write_results(cells: Iterable[dict], fmt: str, stream: IO[str],
                   config: ScenarioConfig) -> None:
-    """Header comment block, then one row per cell, ordered by density and
-    then by policy in POLICY_NAMES order."""
+    """Header comment block, then one row per cell (a ``summarize`` row
+    plus the config's master seed), ordered by density and then by policy
+    in POLICY_NAMES order."""
     for line in config_header_lines(config):
         stream.write(line + "\n")
-    cells = sorted(summaries, key=lambda s: (s.lambda_m,
-                                             POLICY_NAMES.index(s.policy_name)))
-    rows = (_cell_values(summary, config.master_seed) for summary in cells)
+    cells = sorted(cells, key=lambda cell: (cell["lambda_m"],
+                                            POLICY_NAMES.index(cell["policy"])))
+    seeded = ({**cell, "seed": config.master_seed} for cell in cells)
+    rows = ([row[column] for column in CSV_COLUMNS] for row in seeded)
     if fmt == "csv":
         stream.write(",".join(CSV_COLUMNS) + "\n")
         for values in rows:

@@ -35,7 +35,6 @@ from v2isim import (
 )
 from v2isim import channel
 from v2isim.channel import Tier
-from v2isim.config import N_CLASSES
 from v2isim.metrics import compute_run_metrics, summarize
 from conftest import flat_mmw_params, make_table
 import oracles
@@ -117,14 +116,14 @@ def check_criterion(num, title, checks):
 def test_criterion_01_lte_ratio_ordering(heavy):
     checks = []
     for lam in GRID:
-        ms = heavy[(lam, "MS")].p_lte
-        ra = heavy[(lam, "RA")].p_lte
-        mr = heavy[(lam, "MR")].p_lte
+        ms = heavy[(lam, "MS")]["p_lte"]
+        ra = heavy[(lam, "RA")]["p_lte"]
+        mr = heavy[(lam, "MR")]["p_lte"]
         checks.append((f"p_lte order at lam={lam:g} "
                        f"(MS={ms:.3f}, RA={ra:.3f}, MR={mr:.3f})",
                        ms > ra > mr))
         checks.append((f"p_lte(MS)>=0.60 at lam={lam:g} ({ms:.3f})", ms >= 0.60))
-    ra80 = heavy[(80.0, "RA")].p_lte
+    ra80 = heavy[(80.0, "RA")]["p_lte"]
     checks.append((f"p_lte(RA)@80 in [0.22,0.32] ({ra80:.3f})",
                    0.22 <= ra80 <= 0.32))
     check_criterion(1, "LTE-ratio ordering and levels", checks)
@@ -134,7 +133,7 @@ def test_criterion_02_class1_requirement_met(heavy):
     checks = []
     for lam in GRID:
         for pol in ("MS", "MR", "RA"):
-            rate = heavy[(lam, pol)].mean_rate_bps[0]
+            rate = heavy[(lam, pol)]["mean_rate_1_bps"]
             checks.append((f"E[R]_1({pol})@{lam:g} >= 2 Mbps ({rate / 1e6:.2f}M)",
                            rate >= 2e6))
     check_criterion(2, "class-1 requirement met with 2x margin", checks)
@@ -145,13 +144,13 @@ def test_criterion_03_class4_policy_ordering(heavy):
     for lam in GRID:
         if lam < 24:
             continue
-        ra = heavy[(lam, "RA")].mean_rate_bps[3]
-        mr = heavy[(lam, "MR")].mean_rate_bps[3]
-        ms = heavy[(lam, "MS")].mean_rate_bps[3]
+        ra = heavy[(lam, "RA")]["mean_rate_4_bps"]
+        mr = heavy[(lam, "MR")]["mean_rate_4_bps"]
+        ms = heavy[(lam, "MS")]["mean_rate_4_bps"]
         checks.append((f"E[R]_4 order at lam={lam:g} "
                        f"(RA={ra / 1e6:.0f}M, MR={mr / 1e6:.0f}M, MS={ms / 1e6:.0f}M)",
                        ra > mr > ms))
-    ratio = heavy[(80.0, "RA")].mean_rate_bps[3] / heavy[(80.0, "MR")].mean_rate_bps[3]
+    ratio = heavy[(80.0, "RA")]["mean_rate_4_bps"] / heavy[(80.0, "MR")]["mean_rate_4_bps"]
     checks.append((f"RA/MR E[R]_4 ratio @80 in [1.2,1.7] ({ratio:.3f})",
                    1.2 <= ratio <= 1.7))
     check_criterion(3, "class-4 mean-rate policy ordering", checks)
@@ -162,15 +161,15 @@ def test_criterion_04_worst_decile_collapse(heavy):
     for lam in GRID:
         if lam < 12:
             continue
-        ms = heavy[(lam, "MS")].p10_bps[3]
-        mr = heavy[(lam, "MR")].p10_bps[3]
-        ra = heavy[(lam, "RA")].p10_bps[3]
+        ms = heavy[(lam, "MS")]["p10_4_bps"]
+        mr = heavy[(lam, "MR")]["p10_4_bps"]
+        ra = heavy[(lam, "RA")]["p10_4_bps"]
         checks.append((f"P10_4(MS)@{lam:g} < 10 Mbps ({ms / 1e6:.2f}M)",
                        ms < 10e6))
         checks.append((f"P10_4 order at lam={lam:g} "
                        f"(RA={ra / 1e6:.0f}M, MR={mr / 1e6:.0f}M, MS={ms / 1e6:.1f}M)",
                        ra > mr > ms))
-    ratio = heavy[(40.0, "RA")].p10_bps[3] / heavy[(40.0, "MR")].p10_bps[3]
+    ratio = heavy[(40.0, "RA")]["p10_4_bps"] / heavy[(40.0, "MR")]["p10_4_bps"]
     checks.append((f"P10_4 RA/MR @40 >= 1.3 ({ratio:.3f})", ratio >= 1.3))
     check_criterion(4, "worst-decile collapse under MS", checks)
 
@@ -178,9 +177,9 @@ def test_criterion_04_worst_decile_collapse(heavy):
 def test_criterion_05_satisfaction(heavy):
     checks = []
     for lam in GRID:
-        ra = heavy[(lam, "RA")].p_sat
-        mr = heavy[(lam, "MR")].p_sat
-        ms = heavy[(lam, "MS")].p_sat
+        ra = heavy[(lam, "RA")]["p_sat"]
+        mr = heavy[(lam, "MR")]["p_sat"]
+        ms = heavy[(lam, "MS")]["p_sat"]
         if lam >= 24:
             checks.append((f"p_sat(RA)@{lam:g} >= 0.95 ({ra:.4f})", ra >= 0.95))
         if lam >= 8:
@@ -193,22 +192,23 @@ def test_criterion_05_satisfaction(heavy):
 def test_criterion_06_fairness(heavy):
     checks = []
     for lam in GRID:
-        ra = heavy[(lam, "RA")].jain[0]
+        ra = heavy[(lam, "RA")]["jain_1"]
         checks.append((f"J_1(RA)@{lam:g} >= 0.94 ({ra:.4f})", ra >= 0.94))
-    ms4 = heavy[(4.0, "MS")].jain[0]
-    ms40 = heavy[(40.0, "MS")].jain[0]
+    ms4 = heavy[(4.0, "MS")]["jain_1"]
+    ms40 = heavy[(40.0, "MS")]["jain_1"]
     checks.append((f"J_1(MS) decreases from lam=4 ({ms4:.3f}) to <0.25 by "
                    f"lam=40 ({ms40:.3f})", ms40 < ms4 and ms40 < 0.25))
-    gap = abs(heavy[(80.0, "RA")].jain[0] - heavy[(80.0, "MR")].jain[0])
+    gap = abs(heavy[(80.0, "RA")]["jain_1"] - heavy[(80.0, "MR")]["jain_1"])
     checks.append((f"|J_1(RA)-J_1(MR)| @80 <= 0.05 ({gap:.4f})", gap <= 0.05))
     check_criterion(6, "class-1 fairness levels", checks)
 
 
 def test_criterion_07_fixed_load_scenario(fixed500):
-    ra40 = fixed500[(40.0, "RA")].mean_rate_bps[3]
-    mr40 = fixed500[(40.0, "MR")].mean_rate_bps[3]
+    ra40 = fixed500[(40.0, "RA")]["mean_rate_4_bps"]
+    mr40 = fixed500[(40.0, "MR")]["mean_rate_4_bps"]
     ratio = ra40 / mr40
-    growth = fixed500[(80.0, "RA")].mean_rate_bps[3] / fixed500[(20.0, "RA")].mean_rate_bps[3]
+    growth = (fixed500[(80.0, "RA")]["mean_rate_4_bps"]
+              / fixed500[(20.0, "RA")]["mean_rate_4_bps"])
     checks = [
         (f"E[R]_4 RA/MR @40 in [1.2,1.6] ({ratio:.3f})", 1.2 <= ratio <= 1.6),
         (f"E[R]_4(RA) growth 20->80 >= 4x ({growth:.2f}x)", growth >= 4.0),
@@ -218,22 +218,15 @@ def test_criterion_07_fixed_load_scenario(fixed500):
 
 # --- the campaign law: per-cell means against their pinned values --------
 
-def _run_figures(row):
-    """The per-run figures that a cell averages over its runs; the pooled
-    worst-decile rate has no per-run value and stays under criterion 4."""
-    return {"p_lte": row.p_lte, "p_sat": row.p_sat,
-            **{f"mean_rate_{k + 1}_bps": row.mean_rate_bps[k] for k in range(N_CLASSES)},
-            **{f"jain_{k + 1}": row.jain[k] for k in range(N_CLASSES)}}
-
-
 def campaign_law(per_cell):
     """{"<density> <policy>": {figure: [mean, standard error]}}, both over
     the runs in which the figure is defined; [None, None] when no run
-    defines it."""
+    defines it. The figures are a run's ``RunMetrics.figures``; the pooled
+    worst-decile rate has no per-run value and stays under criterion 4."""
     order = [p.value for p in Policy]
     law = {}
     for lam, pol in sorted(per_cell, key=lambda key: (key[0], order.index(key[1]))):
-        runs = [_run_figures(row) for row in per_cell[(lam, pol)]]
+        runs = [row.figures for row in per_cell[(lam, pol)]]
         cell = {}
         for figure in runs[0]:
             values = np.array([run[figure] for run in runs])

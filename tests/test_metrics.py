@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from v2isim import (
 from v2isim.channel import Tier
 from v2isim.engine import RunResult
 from v2isim.metrics import (
+    CSV_COLUMNS,
     RunMetrics,
     compute_run_metrics,
     lte_ratio,
@@ -49,7 +52,7 @@ class TestMeanRatePerClass:
 
     def test_other_classes_ignored(self):
         result = run_result(class_k=[1, 4, 1], rate_bps=[1e6, 9e9, 3e6])
-        assert compute_run_metrics(result).mean_rate_bps[0] == pytest.approx(2e6)
+        assert compute_run_metrics(result).figures["mean_rate_1_bps"] == pytest.approx(2e6)
 
     def test_empty_class_is_undefined_not_zero(self):
         assert math.isnan(mean_rate_per_class(arr([])))
@@ -141,13 +144,18 @@ class TestJainIndex:
         assert jain_index(rates * 37.5) == pytest.approx(jain_index(rates), rel=1e-12)
 
 
+def figures(p_sat, p_lte=0.5, mean=1e6, jain=0.9):
+    return {"p_lte": p_lte, "p_sat": p_sat,
+            **{f"mean_rate_{k}_bps": mean for k in range(1, 5)},
+            **{f"jain_{k}": jain for k in range(1, 5)}}
+
+
 def metrics_row(p_sat, lambda_m=4.0, policy="MS", p_lte=0.5,
                 mean=1e6, jain=0.9, converged=True, run_index=0,
                 class_rates=(5e5, 1.5e6)):
-    four = lambda v: (v, v, v, v)
-    return RunMetrics(lambda_m=lambda_m, policy_name=policy, p_lte=p_lte,
-                      p_sat=p_sat, mean_rate_bps=four(mean), jain=four(jain),
-                      class_rates_bps=four(arr(class_rates)),
+    return RunMetrics(lambda_m=lambda_m, policy_name=policy,
+                      figures=figures(p_sat, p_lte, mean, jain),
+                      class_rates_bps=(arr(class_rates),) * 4,
                       converged=converged, run_index=run_index)
 
 
@@ -161,32 +169,30 @@ def class4_row(rates, run_index, other=()):
 class TestSummarize:
     def test_single_run_copies_metrics(self):
         summary = summarize([metrics_row(0.5)])
-        assert summary.p_sat == 0.5
-        assert summary.run_count == 1
+        assert summary["p_sat"] == 0.5
+        assert summary["run_count"] == 1
 
     def test_mean_of_two(self):
         summary = summarize([metrics_row(0.5, run_index=0),
                              metrics_row(1.0, run_index=1)])
-        assert summary.p_sat == pytest.approx(0.75)
+        assert summary["p_sat"] == pytest.approx(0.75)
 
     def test_undefined_markers_skipped_not_imputed(self):
         rows = [metrics_row(0.5, run_index=0), metrics_row(1.0, run_index=1)]
-        rows.append(RunMetrics(lambda_m=4.0, policy_name="MS", p_lte=0.5,
-                               p_sat=math.nan,
-                               mean_rate_bps=(math.nan,) * 4,
-                               jain=(math.nan,) * 4,
+        rows.append(RunMetrics(lambda_m=4.0, policy_name="MS",
+                               figures=figures(math.nan, mean=math.nan, jain=math.nan),
                                class_rates_bps=(arr([]),) * 4,
                                converged=True, run_index=2))
         summary = summarize(rows)
-        assert summary.p_sat == pytest.approx(0.75)
-        assert summary.run_count == 3
+        assert summary["p_sat"] == pytest.approx(0.75)
+        assert summary["run_count"] == 3
 
     def test_p10_pools_vehicles_across_runs(self):
         # 20 pooled rates: the worst decile is {1, 2}, not the mean of
         # the per-run worst deciles (1 + 1000) / 2
         summary = summarize([class4_row(range(1, 11), 0),
                              class4_row(range(1000, 1010), 1)])
-        assert summary.p10_bps[3] == 1.5
+        assert summary["p10_4_bps"] == 1.5
 
     def test_p10_independent_of_run_order(self, rng):
         runs = [rng.exponential(1e8, size=int(rng.integers(1, 30)))
@@ -194,24 +200,31 @@ class TestSummarize:
         forward = summarize([class4_row(r, i) for i, r in enumerate(runs)])
         backward = summarize([class4_row(r, i)
                               for i, r in enumerate(reversed(runs))][::-1])
-        assert forward.p10_bps == backward.p10_bps
+        p10 = [f"p10_{k}_bps" for k in range(1, 5)]
+        assert [forward[c] for c in p10] == [backward[c] for c in p10]
 
     def test_p10_class_empty_in_some_runs_skipped(self):
         summary = summarize([class4_row([], 0, other=[]),
                              class4_row(range(1, 11), 1, other=[]),
                              class4_row([], 2, other=[])])
-        assert summary.p10_bps[3] == 1.0
-        assert all(math.isnan(v) for v in summary.p10_bps[:3])
+        assert summary["p10_4_bps"] == 1.0
+        assert all(math.isnan(summary[f"p10_{k}_bps"]) for k in range(1, 4))
 
     def test_nonconverged_counted(self):
         rows = [metrics_row(0.5, run_index=0),
                 metrics_row(0.5, converged=False, run_index=1)]
-        assert summarize(rows).nonconverged_runs == 1
+        assert summarize(rows)["nonconverged_runs"] == 1
 
     def test_rejects_mixed_cells(self):
         with pytest.raises(ValueError):
             summarize([metrics_row(0.5, lambda_m=4.0),
                        metrics_row(0.5, lambda_m=8.0)])
+        with pytest.raises(ValueError):
+            summarize([])
+
+    def test_row_has_every_column_but_the_seed(self):
+        row = summarize([metrics_row(0.5, run_index=0), metrics_row(1.0, run_index=1)])
+        assert set(row) == set(CSV_COLUMNS) - {"seed"}
 
     def test_aggregation_linearity(self, rng):
         # mean-type metrics over a concatenation equal the weighted average
@@ -222,8 +235,8 @@ class TestSummarize:
         s_all = summarize(rows_a + rows_b)
         s_a = summarize(rows_a)
         s_b = summarize(rows_b)
-        weighted = (10 * s_a.p_sat + 30 * s_b.p_sat) / 40
-        assert s_all.p_sat == pytest.approx(weighted, rel=1e-12)
+        weighted = (10 * s_a["p_sat"] + 30 * s_b["p_sat"]) / 40
+        assert s_all["p_sat"] == pytest.approx(weighted, rel=1e-12)
 
 
 class TestComputeRunMetrics:
@@ -234,10 +247,17 @@ class TestComputeRunMetrics:
             rate_bps=[2e6, 1e9, 0.0])
         assert result.tier.tolist() == [Tier.LTE, Tier.MMWAVE, Tier.NONE]
         m = compute_run_metrics(result)
-        assert m.p_lte == 0.5  # vehicle 1 is outside the region
-        assert m.p_sat == 0.5
-        assert m.mean_rate_bps[0] == pytest.approx(2e6)
-        assert math.isnan(m.mean_rate_bps[1])
+        assert m.figures["p_lte"] == 0.5  # vehicle 1 is outside the region
+        assert m.figures["p_sat"] == 0.5
+        assert m.figures["mean_rate_1_bps"] == pytest.approx(2e6)
+        assert math.isnan(m.figures["mean_rate_2_bps"])
+
+    def test_figures_in_the_order_of_the_pinned_law(self):
+        # tests/golden/campaign_law.json keys each cell's figures by column
+        law = json.loads((Path(__file__).parent / "golden" / "campaign_law.json").read_text())
+        orders = {tuple(cell) for campaign in law.values() for cell in campaign.values()}
+        result = run_result(class_k=[1, 2, 3, 4], rate_bps=[2e6, 1e7, 1e8, 1e9])
+        assert orders == {tuple(compute_run_metrics(result).figures)}
 
     def test_jain_bounds_on_simulated_run(self):
         from v2isim import ScenarioConfig, run_once
@@ -245,9 +265,9 @@ class TestComputeRunMetrics:
         result = run_once(ScenarioConfig(), 8.0, Policy.RA, 3)
         m = compute_run_metrics(result)
         for k in range(4):
-            j = m.jain[k]
+            j = m.figures[f"jain_{k + 1}"]
             if not math.isnan(j):
                 assert 0.0 < j <= 1.0 + 1e-12
             p10 = worst_decile_mean(m.class_rates_bps[k])
             if not math.isnan(p10):
-                assert p10 <= m.mean_rate_bps[k] + 1e-9
+                assert p10 <= m.figures[f"mean_rate_{k + 1}_bps"] + 1e-9
