@@ -94,26 +94,24 @@ def _snr_law(tier: Tier, params: ChannelParams) -> tuple[float, float, float, fl
 class LinkTable:
     """Per-snapshot matrices of what the attachment rules read, read-only.
 
-    Rows are vehicles, columns base stations. unit_rate_bps holds the
-    Shannon rate at load 1, bandwidth * log2(1 + snr_linear), so the rate
-    at load m is unit_rate_bps / m; it is 0 where the link is in outage. It
-    is built from snr_db on its first read: MS reads only snr_db, through
+    Rows are vehicles, columns base stations; as in the snapshot, station
+    j is LTE iff j < n_lte. unit_rate_bps holds the Shannon rate at load 1,
+    bandwidth * log2(1 + snr_linear), so the rate at load m is
+    unit_rate_bps / m; it is 0 where the link is in outage. It is built
+    from snr_db on its first read: MS reads only snr_db, through
     strongest_bs, so an MS run never builds it.
     """
 
-    def __init__(self, snr: np.ndarray, bandwidth_hz: np.ndarray,
-                 is_lte: np.ndarray, required_rate_bps: np.ndarray,
-                 snr_threshold_db: float):
+    def __init__(self, snr: np.ndarray, bandwidth_hz: np.ndarray, n_lte: int,
+                 required_rate_bps: np.ndarray, snr_threshold_db: float):
         # read-only views, so that the caller's arrays stay writeable
         self.snr_db = np.asarray(snr, dtype=float).view()
         self.n_vn, self.n_bs = self.snr_db.shape
         self.bandwidth_hz = np.asarray(bandwidth_hz, dtype=float).view()
-        self.is_lte = np.asarray(is_lte, dtype=bool).view()
+        self.n_lte = int(n_lte)
         self.required_rate_bps = np.asarray(required_rate_bps, dtype=float).view()
         self.snr_threshold_db = float(snr_threshold_db)
-        self.lte_indices = np.flatnonzero(self.is_lte)
-        for arr in (self.snr_db, self.bandwidth_hz, self.is_lte,
-                    self.required_rate_bps, self.lte_indices):
+        for arr in (self.snr_db, self.bandwidth_hz, self.required_rate_bps):
             arr.setflags(write=False)
 
     def rates_at(self, rows, cols) -> np.ndarray:
@@ -218,6 +216,5 @@ def build_link_table(snapshot: Snapshot, rng: np.random.Generator,
                                           mmw_buffers[:, :uniform.shape[0]])
         snr[:, :n_lte] = _tier_snr(vn, bs[:n_lte], lte_uniform, _snr_law(Tier.LTE, params),
                                    los_probability_lte, params, np.empty((3, m, n_lte)))
-    lte = snapshot.is_lte
-    bandwidth = np.where(lte, params.lte.bandwidth_hz, params.mmw.bandwidth_hz)
-    return LinkTable(snr, bandwidth, lte, snapshot.required_rate_bps, snr_threshold_db)
+    bandwidth = np.repeat([params.lte.bandwidth_hz, params.mmw.bandwidth_hz], [n_lte, n - n_lte])
+    return LinkTable(snr, bandwidth, n_lte, snapshot.required_rate_bps, snr_threshold_db)

@@ -28,10 +28,6 @@ class Snapshot:
     measurement_region_m: tuple[float, float, float, float]
 
     @property
-    def is_lte(self) -> np.ndarray:
-        return np.arange(len(self.bs_xy)) < self.n_lte
-
-    @property
     def in_region(self) -> np.ndarray:
         """Per-vehicle mask of the central statistics square (closed boundary)."""
         x_min, x_max, y_min, y_max = self.measurement_region_m

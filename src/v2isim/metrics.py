@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import Tier
 from .config import N_CLASSES
 from .engine import RunResult
 
@@ -51,12 +50,12 @@ def satisfaction_ratio(rates: np.ndarray, required: np.ndarray) -> float:
     return float(np.mean(rates >= required))
 
 
-def lte_ratio(tier: np.ndarray) -> float:
-    """Fraction of vehicles served by the LTE tier (unattached vehicles
-    count in the denominator only)."""
-    if tier.size == 0:
+def lte_ratio(bs_id: np.ndarray, n_lte: int) -> float:
+    """Fraction of vehicles whose station is LTE, 0 <= bs_id < n_lte
+    (unattached vehicles, at ``NO_BS`` = -1, count in the denominator only)."""
+    if bs_id.size == 0:
         return math.nan
-    return float(np.mean(tier == Tier.LTE))
+    return float(np.mean((0 <= bs_id) & (bs_id < n_lte)))
 
 
 def jain_index(rates: np.ndarray) -> float:
@@ -106,7 +105,7 @@ def compute_run_metrics(result: RunResult) -> RunMetrics:
         lambda_m=result.lambda_m,
         policy_name=result.policy.value,
         figures=dict(zip(RUN_FIGURES, (
-            lte_ratio(result.tier[mask]), satisfaction_ratio(rates, required),
+            lte_ratio(result.bs_id[mask], result.n_lte), satisfaction_ratio(rates, required),
             *map(mean_rate_per_class, class_rates), *map(jain_index, class_rates)))),
         class_rates_bps=class_rates,
         converged=result.converged,

@@ -9,7 +9,9 @@ when every station is in outage for it, and the post-join rate it gets
 there (0 at ``NO_BS``). ``loads`` counts the vehicles of ``assignment``;
 each vehicle decides at the loads without itself, and each candidate cell
 is evaluated at that load + 1, i.e. the rate the vehicle would actually get
-after joining. Ties break toward the lowest base-station id.
+after joining. Ties break toward the lowest base-station id. Station j is
+LTE iff j < ``table.n_lte``; ``NO_BS`` = -1 is below it, so each tier test
+excludes ``NO_BS`` first.
 
 A move changes the post-join rate of two stations only, so it can change
 the choice of the vehicles choosing the station it joins, and of those for
@@ -65,13 +67,12 @@ def _ra_choice(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
     all cells."""
     rates = _post_join_rates(table, assignment, loads, rows)
     choice, rate = _best(rates)
-    lte = table.lte_indices
-    if lte.size:
-        lte_rates = rates[:, lte]
+    if table.n_lte:
+        lte_rates = rates[:, :table.n_lte]
         best_lte = lte_rates.argmax(axis=1)
         lte_top = lte_rates[np.arange(rows.size), best_lte]
         served = lte_top > table.required_rate_bps[rows]
-        choice = np.where(served, lte[best_lte], choice)
+        choice = np.where(served, best_lte, choice)
         rate = np.where(served, lte_top, rate)
     return choice, rate
 
@@ -99,9 +100,8 @@ def thresholds(table: LinkTable, policy: Policy, rows: np.ndarray,
     bar[:] = floor = np.maximum(rate, _TINY)
     if policy is Policy.RA:
         required = table.required_rate_bps[rows]
-        # rate > required >= 0 holds only off NO_BS
-        served = rate > required
-        served[served] = table.is_lte[choice[served]]
+        # NO_BS is below n_lte, but rate > required >= 0 holds only off it
+        served = (rate > required) & (choice < table.n_lte)
         bar[0, served] = np.inf
         bar[1] = np.where(served, floor,
                           np.minimum(floor, np.nextafter(required, np.inf)))
@@ -128,4 +128,4 @@ def unsettled(table: LinkTable, assignment: np.ndarray, loads: np.ndarray,
     if a == NO_BS:
         return mask
     at_a = table.unit_rate_bps[:, a] / (loads[a] + (assignment != a))
-    return mask | ((at_a >= bar[int(table.is_lte[a])]) & (choice != a))
+    return mask | ((at_a >= bar[int(a < table.n_lte)]) & (choice != a))

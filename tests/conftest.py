@@ -7,15 +7,15 @@ from v2isim import ChannelParams, LinkTable, TierRadio, channel
 from v2isim.channel import Tier
 
 
-def make_table(snr_rows, bandwidth_hz, is_lte, required_rate_bps=None,
+def make_table(snr_rows, bandwidth_hz, n_lte, required_rate_bps=None,
                snr_threshold_db=-5.0) -> LinkTable:
-    """Synthetic link table straight from SNR values (test fixture)."""
+    """Synthetic link table straight from SNR values (test fixture); station
+    j is LTE iff j < n_lte."""
     snr = np.asarray(snr_rows, dtype=float)
     n_vn = snr.shape[0]
     if required_rate_bps is None:
         required_rate_bps = np.zeros(n_vn)
-    return LinkTable(snr, np.asarray(bandwidth_hz, dtype=float),
-                     np.asarray(is_lte, dtype=bool),
+    return LinkTable(snr, np.asarray(bandwidth_hz, dtype=float), n_lte,
                      np.asarray(required_rate_bps, dtype=float),
                      snr_threshold_db)
 
@@ -34,8 +34,8 @@ def los_snr_db(snapshot, params, unit_gain=False) -> np.ndarray:
     dz = params.vn_height_m - params.bs_height_m
     d2_min = params.min_distance_m * params.min_distance_m
     out = np.empty((vn.shape[0], bs.shape[0]))
-    lte = snapshot.is_lte
-    for tier, cols in ((Tier.LTE, lte), (Tier.MMWAVE, ~lte)):
+    n_lte = snapshot.n_lte
+    for tier, cols in ((Tier.LTE, slice(None, n_lte)), (Tier.MMWAVE, slice(n_lte, None))):
         a_los, b_los, _, _ = channel._snr_law(tier, params)
         dx, dy = vn[:, 0, None] - bs[cols, 0], vn[:, 1, None] - bs[cols, 1]
         log_d2 = np.log10(np.maximum(dx * dx + dy * dy + dz * dz, d2_min))

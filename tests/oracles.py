@@ -151,12 +151,12 @@ def ra_choice(table, vn, loads):
     """Prefer the best LTE cell when its post-join rate strictly exceeds the
     vehicle's required rate; otherwise fall back to the max-rate choice over
     all cells."""
-    lte = table.lte_indices
-    if lte.size:
-        lte_rates = table.unit_rate_bps[vn, lte] / (loads[lte] + 1.0)
+    n_lte = table.n_lte
+    if n_lte:
+        lte_rates = table.unit_rate_bps[vn, :n_lte] / (loads[:n_lte] + 1.0)
         jl = int(np.argmax(lte_rates))
         if lte_rates[jl] > table.required_rate_bps[vn]:
-            return int(lte[jl])
+            return jl
     return mr_choice(table, vn, loads)
 
 

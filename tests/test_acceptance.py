@@ -290,13 +290,17 @@ def test_campaign_law(heavy_runs, fixed500_runs):
 # --- criterion 8: oracle equivalence on micro instances -------------------
 
 def _random_micro_instance(rng):
+    """(snr, bw, n_lte, req) of one instance; its stations are drawn with
+    their tiers, then put LTE first in their drawn order, so that station j
+    is LTE iff j < n_lte."""
     n_vn = int(rng.integers(1, 7))
     n_bs = int(rng.integers(1, 4))
     snr = np.round(rng.uniform(-15.0, 40.0, size=(n_vn, n_bs)), 1)
     bw = rng.choice([20e6, 1e9], size=n_bs)
     is_lte = rng.random(n_bs) < 0.4
     req = rng.choice([1e6, 1e7, 1e8, 1.2e9], size=n_vn)
-    return snr, bw, is_lte, req
+    order = np.argsort(~is_lte, kind="stable")
+    return snr[:, order], bw[order], int(is_lte.sum()), req
 
 
 def _engine_steady(table, policy, seed):
@@ -313,10 +317,10 @@ def test_criterion_08_oracle_equivalence():
     n_instances = 1000
     ms_bad = mrra_bad = 0
     for i in range(n_instances):
-        snr, bw, is_lte, req = _random_micro_instance(rng)
-        table = make_table(snr, bw, is_lte, req)
+        snr, bw, n_lte, req = _random_micro_instance(rng)
+        table = make_table(snr, bw, n_lte, req)
         instance = oracles.make_instance(
-            snr.tolist(), list(bw), list(is_lte), list(req), -5.0)
+            snr.tolist(), list(bw), [j < n_lte for j in range(len(bw))], list(req), -5.0)
 
         state, _, converged = _engine_steady(table, Policy.MS, seed=i)
         expected = [oracles.ms_best(list(row), -5.0) for row in snr]
@@ -377,8 +381,8 @@ def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
     slope = slope_cents / 100.0
     offset = offset_cents / 100.0
     n = snr.shape[1]
-    base = make_table(snr, [1e9] * n, [False] * n)
-    transformed = make_table(slope * snr + offset, [1e9] * n, [False] * n,
+    base = make_table(snr, [1e9] * n, 0)
+    transformed = make_table(slope * snr + offset, [1e9] * n, 0,
                              snr_threshold_db=slope * -5.0 + offset)
     assert base.strongest_bs[0] == transformed.strongest_bs[0]
 
@@ -387,7 +391,7 @@ def prop_ms_argmax_invariant_under_monotone_transform(snr_cents, slope_cents,
 @given(snr=st.floats(-5.0, 60.0), bw=st.floats(1e6, 2e9),
        load=st.integers(1, 500))
 def prop_rate_load_doubling_halves_exactly(snr, bw, load):
-    table = make_table([[snr, snr - 66.0]], [bw, bw], [False, False])
+    table = make_table([[snr, snr - 66.0]], [bw, bw], 0)
 
     def rate(bs, m):
         loads = np.zeros(2, dtype=np.int64)
@@ -425,7 +429,7 @@ def prop_load_consistency_through_dynamics(data):
     policy = data.draw(st.sampled_from(list(Policy)), label="policy")
     seed = data.draw(st.integers(0, 2**31), label="seed")
     snr = np.array(snr_cents, dtype=float).reshape(n_vn, n_bs) / 100.0
-    table = make_table(snr, [1e9] * n_bs, [False] * n_bs)
+    table = make_table(snr, [1e9] * n_bs, 0)
     state = oracles.check_state(initial_attach(None, table, policy))
     state, _, _ = steady_state(state, None, table, policy,
                                np.random.default_rng(seed))

@@ -38,7 +38,8 @@ def budget_snr_db(snapshot, params, los):
     the LOS and NLOS path losses. Returns (SNR, d3d, the NLOS links whose
     path loss is the LOS one)."""
     p = params
-    vn, bs, lte = snapshot.vn_xy, snapshot.bs_xy, snapshot.is_lte
+    vn, bs = snapshot.vn_xy, snapshot.bs_xy
+    lte = np.arange(len(bs)) < snapshot.n_lte
     d2d = np.hypot(vn[:, 0, None] - bs[:, 0], vn[:, 1, None] - bs[:, 1])
     d3d = np.hypot(d2d, p.vn_height_m - p.bs_height_m)
     d = np.maximum(d3d, p.min_distance_m)
@@ -60,6 +61,20 @@ def budget_snr_db(snapshot, params, los):
     pl = pl_los if los else np.maximum(pl_los, pl_nlos)
     floored = np.zeros(d.shape, dtype=bool) if los else pl_nlos < pl_los
     return tx + gain_db - pl - noise, d3d, floored
+
+
+# (LTE density, mmWave density) of snapshots with no LTE station, with no
+# mmWave station and with both
+TIER_SPLITS = pytest.mark.parametrize("lte_density,lam", [(0.0, 8.0), (4.0, 0.0), (4.0, 8.0)],
+                                      ids=["no-lte", "no-mmw", "both"])
+
+
+def split_table(lte_density, lam, rng):
+    """(snapshot, link table) of 40 vehicles at these station densities."""
+    cfg = ScenarioConfig(lte_density_per_km2=lte_density, vn_mode="FIXED",
+                         fixed_vn_count=40)
+    snap = build_snapshot(cfg, lam, rng)
+    return snap, build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
 
 
 def with_vehicles_near_stations(snapshot):
@@ -285,15 +300,15 @@ class TestSnrLaw:
 class TestAchievableRate:
     # the achievable rate at load 1 is LinkTable.unit_rate_bps
     def test_outage_rate_is_zero(self):
-        assert make_table([[-6.0]], [1e9], [False]).unit_rate_bps[0, 0] == 0.0
+        assert make_table([[-6.0]], [1e9], 0).unit_rate_bps[0, 0] == 0.0
 
     def test_zero_db_is_bandwidth(self):
-        table = make_table([[0.0]], [20e6], [True])
+        table = make_table([[0.0]], [20e6], 1)
         assert table.unit_rate_bps[0, 0] == pytest.approx(20e6, rel=1e-12)
 
     def test_load_doubling_halves_rate(self):
         # realized_rates divides the rate at load 1 by the station's load
-        table = make_table([[17.0]], [1e9], [False])
+        table = make_table([[17.0]], [1e9], 0)
 
         def rate(load):
             state = AssociationState(np.array([0]), np.array([load]))
@@ -304,9 +319,9 @@ class TestAchievableRate:
 
     def test_monotone_in_snr_above_threshold(self):
         snrs = np.linspace(-5.0, 60.0, 500)
-        rates = make_table([snrs], [1e9] * 500, [False] * 500).unit_rate_bps[0]
+        rates = make_table([snrs], [1e9] * 500, 0).unit_rate_bps[0]
         assert np.all(np.diff(rates) >= 0.0)
-        assert make_table([[-5.0001]], [1e9], [False]).unit_rate_bps[0, 0] == 0.0
+        assert make_table([[-5.0001]], [1e9], 0).unit_rate_bps[0, 0] == 0.0
 
 
 class TestLinkTable:
@@ -371,12 +386,9 @@ class TestLinkTable:
         snap = build_snapshot(cfg, 8.0, rng)
         table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         gain_db = table.snr_db - los_snr_db(snap, cfg.channel, unit_gain=True)
-        if table.lte_indices.size:
-            assert np.allclose(gain_db[:, table.is_lte], 0.0, rtol=0, atol=1e-9)
-        mmw = ~table.is_lte
-        if mmw.any() and table.n_vn:
-            assert np.allclose(gain_db[:, mmw], 10.0 * math.log10(1024.0),
-                               rtol=0, atol=1e-9)
+        assert np.allclose(gain_db[:, :table.n_lte], 0.0, rtol=0, atol=1e-9)
+        assert np.allclose(gain_db[:, table.n_lte:], 10.0 * math.log10(1024.0),
+                           rtol=0, atol=1e-9)
 
     def test_mmw_array_size_moves_only_mmw_snr(self):
         # the same seeds with 64 and then 16 mmWave base-station elements
@@ -388,10 +400,10 @@ class TestLinkTable:
                                     cfg.snr_threshold_db)
 
         big, small = build(64), build(16)
-        lte = big.is_lte
-        assert lte.any() and (~lte).any() and big.n_vn
-        assert np.array_equal(big.snr_db[:, lte], small.snr_db[:, lte])
-        assert np.allclose(big.snr_db[:, ~lte] - small.snr_db[:, ~lte],
+        n_lte = big.n_lte
+        assert 0 < n_lte < big.n_bs and big.n_vn
+        assert np.array_equal(big.snr_db[:, :n_lte], small.snr_db[:, :n_lte])
+        assert np.allclose(big.snr_db[:, n_lte:] - small.snr_db[:, n_lte:],
                            10.0 * math.log10(4.0), rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("lam", [4.0, 40.0, 80.0])
@@ -400,8 +412,8 @@ class TestLinkTable:
         rng = np.random.default_rng(int(lam))
         table = build_link_table(build_snapshot(cfg, lam, rng), rng, cfg.channel,
                                  cfg.snr_threshold_db)
-        bandwidth = np.where(table.is_lte, cfg.channel.lte.bandwidth_hz,
-                             cfg.channel.mmw.bandwidth_hz)
+        bandwidth = np.where(np.arange(table.n_bs) < table.n_lte,
+                             cfg.channel.lte.bandwidth_hz, cfg.channel.mmw.bandwidth_hz)
         served = table.snr_db >= table.snr_threshold_db
         assert served.any() and (~served).any()
         ratio = table.unit_rate_bps / np.log2(1.0 + 10.0 ** (table.snr_db / 10.0))
@@ -411,20 +423,22 @@ class TestLinkTable:
         assert np.all(table.unit_rate_bps[~served] == 0.0)
         assert np.all(table.unit_rate_bps[served] > 0.0)
 
-    def test_holds_only_what_the_rules_read(self, rng):
-        cfg = ScenarioConfig()
-        table = build_link_table(build_snapshot(cfg, 8.0, rng), rng, cfg.channel,
-                                 cfg.snr_threshold_db)
-        held = {"n_vn", "n_bs", "snr_db", "bandwidth_hz", "is_lte",
-                "lte_indices", "required_rate_bps", "snr_threshold_db"}
+    @TIER_SPLITS
+    def test_holds_only_what_the_rules_read(self, lte_density, lam, rng):
+        snap, table = split_table(lte_density, lam, rng)
+        held = {"n_vn", "n_bs", "snr_db", "bandwidth_hz", "n_lte",
+                "required_rate_bps", "snr_threshold_db"}
         assert set(vars(table)) == held
-        # the per-station bandwidth is what the rate table is built from
-        assert table.bandwidth_hz.shape == (table.n_bs,)
+        # the snapshot's tier split, and the per-station bandwidth the rate
+        # table is built from: the LTE tier's below n_lte, the mmWave's above
+        n_lte, n_mmw = table.n_lte, table.n_bs - table.n_lte
+        assert n_lte == snap.n_lte and (n_lte > 0, n_mmw > 0) == (lte_density > 0, lam > 0)
+        assert table.bandwidth_hz.tolist() == [20e6] * n_lte + [1e9] * n_mmw
         table.unit_rate_bps
         assert set(vars(table)) == held | {"unit_rate_bps"}
 
     def test_outage_flag_matches_threshold(self):
-        table = make_table([[-5.0, -5.001, 3.0]], [1e9] * 3, [False] * 3)
+        table = make_table([[-5.0, -5.001, 3.0]], [1e9] * 3, 0)
         in_outage = [shannon(s, 1e9, table.snr_threshold_db) == 0.0
                      for s in table.snr_db[0]]
         assert in_outage == [False, True, False]
@@ -437,13 +451,13 @@ class TestLinkTable:
         table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
         for vn in range(0, table.n_vn, 37):
             for bs in range(table.n_bs):
-                radio = cfg.channel.lte if table.is_lte[bs] else cfg.channel.mmw
+                radio = cfg.channel.lte if bs < table.n_lte else cfg.channel.mmw
                 expected = shannon(float(table.snr_db[vn, bs]), radio.bandwidth_hz,
                                    table.snr_threshold_db)
                 assert table.unit_rate_bps[vn, bs] == pytest.approx(expected, rel=1e-12)
 
     def test_table_is_frozen(self):
-        table = make_table([[10.0]], [1e9], [False])
+        table = make_table([[10.0]], [1e9], 0)
         with pytest.raises(ValueError):
             table.snr_db[0, 0] = 0.0
         with pytest.raises(ValueError):
@@ -454,14 +468,13 @@ class TestLinkTable:
             rate[0, 0] = 0.0
         assert table.unit_rate_bps is rate
 
-    def test_freezes_views_not_the_snapshots_arrays(self, rng):
-        cfg = ScenarioConfig()
-        snap = build_snapshot(cfg, 8.0, rng)
-        table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+    @TIER_SPLITS
+    def test_freezes_views_not_the_snapshots_arrays(self, lte_density, lam, rng):
+        snap, table = split_table(lte_density, lam, rng)
         for arr in (snap.bs_xy, snap.vn_xy, snap.class_k, snap.required_rate_bps):
             assert arr.flags.writeable
-        for arr in (table.snr_db, table.bandwidth_hz, table.is_lte,
-                    table.required_rate_bps, table.lte_indices, table.strongest_bs):
+        for arr in (table.snr_db, table.bandwidth_hz, table.required_rate_bps,
+                    table.strongest_bs):
             assert not arr.flags.writeable
         # a view, not a copy
         assert np.shares_memory(table.required_rate_bps, snap.required_rate_bps)

@@ -44,31 +44,29 @@ def micro_tables(draw, n_vn=st.integers(1, 7), n_bs=st.integers(0, 4),
     """Small link tables with exact ties: LTE-less, LTE-only or mixed, some
     rows fully in outage, possibly no station at all, and required rates
     that can equal an LTE post-join rate exactly. With ``twins``, a station
-    may be a copy of the one before it, so that every vehicle ties them at
-    equal loads."""
+    may copy the SNR and bandwidth of the one before it, so that every
+    vehicle ties them at equal loads; its tier follows from its position."""
     n_vn = draw(n_vn)
     n_bs = draw(n_bs)
-    mixed = draw(st.lists(st.booleans(), min_size=n_bs, max_size=n_bs))
-    is_lte = draw(st.sampled_from([[False] * n_bs, [True] * n_bs, mixed]))
-    bw = [20e6 if lte else draw(st.sampled_from([20e6, 1e9])) for lte in is_lte]
+    n_lte = draw(st.integers(0, n_bs))
+    bw = [20e6 if j < n_lte else draw(st.sampled_from([20e6, 1e9])) for j in range(n_bs)]
     snr = np.array(draw(st.lists(
         st.lists(st.sampled_from(SNR_GRID), min_size=n_bs, max_size=n_bs),
         min_size=n_vn, max_size=n_vn)), dtype=float).reshape(n_vn, n_bs)
     if twins and n_bs >= 2 and draw(st.booleans()):
         j = draw(st.integers(0, n_bs - 2))
-        snr[:, j + 1], bw[j + 1], is_lte[j + 1] = snr[:, j], bw[j], is_lte[j]
+        snr[:, j + 1], bw[j + 1] = snr[:, j], bw[j]
     for vn in draw(st.sets(st.integers(0, n_vn - 1))):
         snr[vn] = -30.0
-    table = make_table(snr, bw, is_lte)
-    lte = [j for j in range(n_bs) if is_lte[j]]
+    table = make_table(snr, bw, n_lte)
     required = []
     for vn in range(n_vn):
-        if lte and draw(st.booleans()):
-            j = draw(st.sampled_from(lte))
+        if n_lte and draw(st.booleans()):
+            j = draw(st.integers(0, n_lte - 1))
             required.append(table.unit_rate_bps[vn, j] / draw(st.integers(1, 4)))
         else:
             required.append(draw(st.sampled_from([0.0, 5e6, 1.2e9])))
-    return make_table(snr, bw, is_lte, required)
+    return make_table(snr, bw, n_lte, required)
 
 
 @st.composite
@@ -195,13 +193,13 @@ def run_engine(table, policy, seed=0, window=50.0, cap=400.0):
 
 class TestInitialAttach:
     def test_zero_vehicles(self):
-        table = make_table(np.zeros((0, 2)), [1e9, 1e9], [False, False])
+        table = make_table(np.zeros((0, 2)), [1e9, 1e9], 0)
         state = initial_attach(None, table, Policy.MS)
         assert state.assignment.size == 0
         assert list(state.loads) == [0, 0]
 
     def test_single_vehicle_attaches(self):
-        table = make_table([[3.0]], [1e9], [False])
+        table = make_table([[3.0]], [1e9], 0)
         state = initial_attach(None, table, Policy.MR)
         assert list(state.assignment) == [0]
         assert list(state.loads) == [1]
@@ -210,14 +208,14 @@ class TestInitialAttach:
         # 3 identical vehicles, 2 identical stations: sequential post-join
         # evaluation spreads them 2/1
         snr = [[10.0, 10.0]] * 3
-        table = make_table(snr, [1e9, 1e9], [False, False])
+        table = make_table(snr, [1e9, 1e9], 0)
         state = initial_attach(None, table, Policy.MR)
         assert sorted(state.loads) == [1, 2]
         # ties break toward station 0, so it is the fuller one
         assert list(state.loads) == [2, 1]
 
     def test_outage_vehicle_stays_unattached(self):
-        table = make_table([[-8.0], [3.0]], [1e9], [False])
+        table = make_table([[-8.0], [3.0]], [1e9], 0)
         state = initial_attach(None, table, Policy.MR)
         assert list(state.assignment) == [-1, 0]
         assert list(state.loads) == [1]
@@ -250,7 +248,7 @@ class TestInitialAttach:
 
     def test_ms_tie_goes_to_lowest_id_and_outage_row_stays_off(self):
         table = make_table([[10.0, 10.0, 3.0], [-30.0, -30.0, -30.0],
-                            [0.0, 20.0, 20.0]], [1e9] * 3, [False] * 3)
+                            [0.0, 20.0, 20.0]], [1e9] * 3, 0)
         state = assert_attach_is_greedy_pass(table, Policy.MS)
         assert list(state.assignment) == [0, -1, 1]
         assert list(state.loads) == [1, 1, 0]
@@ -260,7 +258,7 @@ class TestSteadyState:
     def test_fixed_point_terminates_in_window(self):
         # each vehicle strictly prefers its own station: already a fixed point
         snr = [[20.0, -20.0], [-20.0, 20.0]]
-        table = make_table(snr, [1e9, 1e9], [False, False])
+        table = make_table(snr, [1e9, 1e9], 0)
         state = initial_attach(None, table, Policy.MR)
         before = state.assignment.copy()
         state, picks, converged = steady_state(
@@ -274,7 +272,7 @@ class TestSteadyState:
             n_vn = int(rng.integers(1, 7))
             n_bs = int(rng.integers(1, 4))
             snr = np.round(rng.uniform(-15, 40, size=(n_vn, n_bs)), 1)
-            table = make_table(snr, [1e9] * n_bs, [False] * n_bs)
+            table = make_table(snr, [1e9] * n_bs, 0)
             state, _, converged = run_engine(table, Policy.MS)
             assert converged
             expected = [oracles.ms_best(list(row), -5.0) for row in snr]
@@ -287,7 +285,7 @@ class TestSteadyState:
             n_bs = int(rng.integers(1, 4))
             snr = np.round(rng.uniform(-15, 40, size=(n_vn, n_bs)), 1)
             bw = rng.choice([20e6, 1e9], size=n_bs)
-            table = make_table(snr, bw, [False] * n_bs)
+            table = make_table(snr, bw, 0)
             state, _, converged = run_engine(table, Policy.MR)
             instance = oracles.make_instance(
                 snr.tolist(), list(bw), [False] * n_bs, [0.0] * n_vn, -5.0)
@@ -304,7 +302,7 @@ class TestSteadyState:
     def test_cap_flags_nonconvergence(self):
         # a cap below the window forces the nonconverged path
         snr = [[10.0, 10.0]] * 4
-        table = make_table(snr, [1e9, 1e9], [False, False])
+        table = make_table(snr, [1e9, 1e9], 0)
         state = initial_attach(None, table, Policy.MR)
         state, picks, converged = steady_state(
             state, None, table, Policy.MR, np.random.default_rng(0),
@@ -313,7 +311,7 @@ class TestSteadyState:
         assert picks == 8
 
     def test_empty_instance_converges_immediately(self):
-        table = make_table(np.zeros((0, 1)), [1e9], [False])
+        table = make_table(np.zeros((0, 1)), [1e9], 0)
         state = initial_attach(None, table, Policy.MR)
         state, picks, converged = steady_state(
             state, None, table, Policy.MR, np.random.default_rng(0))
@@ -322,7 +320,7 @@ class TestSteadyState:
     @pytest.mark.parametrize("policy", list(Policy))
     def test_no_vehicle_draws_nothing_and_calls_no_rule(self, policy):
         # the general path, with no vehicle stale, dirty or drawn
-        table = make_table(np.zeros((0, 2)), [1e9, 1e9], [False, False])
+        table = make_table(np.zeros((0, 2)), [1e9, 1e9], 0)
         state = initial_attach(None, table, policy)
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
@@ -350,8 +348,7 @@ class TestSteadyState:
         # identical stations. If vehicle 1 moves to station 1 before vehicle
         # 0 leaves, station 0 then offers it exactly its current rate, and
         # the tie goes back to the lower id
-        table = make_table([[-30.0, -30.0], [10.0, 10.0]], [1e9, 1e9],
-                           [False, False])
+        table = make_table([[-30.0, -30.0], [10.0, 10.0]], [1e9, 1e9], 0)
         state = AssociationState(np.array([0, 0]), np.array([2, 0]))
         assert_same_as_reference(table, Policy.MR, state, seed,
                                  no_change_window_multiplier=20.0)
@@ -417,7 +414,7 @@ class TestSteadyState:
         # it moves, so the rule runs once more only when vehicle 2 is picked
         table = make_table([[-5.0, 20.0, -30.0, -30.0],
                             [-30.0, -30.0, -5.0, 20.0],
-                            [20.0, -30.0, -30.0, 10.0]], [1e9] * 4, [False] * 4)
+                            [20.0, -30.0, -30.0, 10.0]], [1e9] * 4, 0)
 
         def start():
             return AssociationState(np.array([0, 2, 3]), np.array([1, 0, 1, 1]))
@@ -520,7 +517,7 @@ class TestSteadyState:
             n_vn = int(rng.integers(1, 30))
             n_bs = int(rng.integers(1, 6))
             snr = rng.uniform(-15, 40, size=(n_vn, n_bs))
-            table = make_table(snr, [1e9] * n_bs, [False] * n_bs)
+            table = make_table(snr, [1e9] * n_bs, 0)
             state, _, _ = run_engine(table, Policy.MR, seed=3)
             oracles.check_state(state)
             assert int(state.loads.sum()) + int(np.sum(state.assignment == -1)) == n_vn
@@ -554,7 +551,9 @@ def law_cases():
         n_vn, n_bs = int(rng.integers(3, 7)), int(rng.integers(2, 4))
         snr = rng.uniform(5.0, 25.0, size=(n_vn, n_bs))
         lte = rng.random(n_bs) < 0.2
-        table = make_table(snr, np.where(lte, 20e6, 1e9), lte,
+        # the LTE stations first, in their drawn order
+        order = np.argsort(~lte, kind="stable")
+        table = make_table(snr[:, order], np.where(lte[order], 20e6, 1e9), lte.sum(),
                            rng.choice([1e6, 1e7, 1e8, 1.2e9], size=n_vn))
         for policy in (Policy.MR, Policy.RA):
             law = oracles.absorption_law(table, policy)
@@ -596,7 +595,7 @@ class TestSteadyStateLaw:
             return int(np.argmax(loads) if vn == 0 else np.argmin(loads))
 
         monkeypatch.setitem(oracles.REFERENCE_RULES, Policy.MR, pennies)
-        table = make_table([[10.0, 10.0]] * 2, [1e9, 1e9], [False, False])
+        table = make_table([[10.0, 10.0]] * 2, [1e9, 1e9], 0)
         assert oracles.absorption_law(table, Policy.MR) is None
 
 
@@ -662,10 +661,10 @@ class TestThresholds:
         # LTE a beating its required rate, with served vehicles ignoring a
         # mmWave a
         n_vn = data.draw(st.integers(1, 8))
-        is_lte = [True, False] + data.draw(st.lists(st.booleans(), max_size=2))
-        n_bs = len(is_lte)
+        n_bs = data.draw(st.integers(2, 4))
+        n_lte = data.draw(st.integers(1, n_bs - 1))
         required = np.array([data.draw(GRID_RATES) for _ in range(n_vn)])
-        table = make_table(np.zeros((n_vn, n_bs)), [20e6] * n_bs, is_lte, required)
+        table = make_table(np.zeros((n_vn, n_bs)), [20e6] * n_bs, n_lte, required)
         choice = np.array([data.draw(st.integers(NO_BS, n_bs - 1))
                            for _ in range(n_vn)], dtype=np.int64)
         # the kernels give NO_BS a rate of 0
@@ -674,7 +673,7 @@ class TestThresholds:
         rows = np.arange(n_vn)
         bar = thresholds(table, policy, rows, choice, chosen)
         assert bar.shape == (2, n_vn)
-        lte = table.is_lte
+        lte = np.arange(n_bs) < n_lte
         served = (choice != NO_BS) & lte[choice] & (chosen > required)
         for a in range(n_bs):
             at_a = np.array([data.draw(GRID_RATES) for _ in range(n_vn)])
@@ -694,7 +693,7 @@ class TestUnsettled:
         # requirement, and RA moves it there: only the required-rate term
         # of the mask flags it
         table = make_table([[-30.0, 20.0, -30.0], [-5.0, -30.0, 20.0]],
-                           [20e6, 1e9, 1e9], [True, False, False], [0.0, 5e6])
+                           [20e6, 1e9, 1e9], 1, [0.0, 5e6])
         state = AssociationState(np.array([0, 2]), np.array([1, 0, 1]))
         rows = np.arange(2)
         choice, chosen = POLICY_KERNELS[Policy.RA](table, state.assignment,
@@ -747,6 +746,10 @@ class TestUnsettled:
             assignment[vn] = b
             mask = unsettled(table, assignment, loads, choice, bar, a, b)
             assert mask.shape == (table.n_vn,) and mask.dtype == bool
+            if a == NO_BS:
+                # no station's rate rises, so only the choosers of b are
+                # flagged, though NO_BS is below n_lte
+                assert np.array_equal(mask, choice == b), (vn, b)
             for v in everyone:
                 if rule(table, v, loads_without(assignment, loads, v)) != choice[v]:
                     assert mask[v], (vn, v, a, b)
@@ -909,7 +912,7 @@ class TestCampaign:
 class TestRealizedRates:
     def test_matches_unit_rate_over_load(self):
         snr = [[20.0, 5.0], [18.0, 6.0], [-20.0, 7.0]]
-        table = make_table(snr, [1e9, 1e9], [False, False])
+        table = make_table(snr, [1e9, 1e9], 0)
         state = initial_attach(None, table, Policy.MR)
         rates = realized_rates(state, table)
         for vn in range(3):

@@ -56,7 +56,7 @@ class TestDeployBaseStations:
         snap = build_snapshot(cfg, 80.0, rng)
         assert np.all((snap.bs_xy >= 0.0) & (snap.bs_xy <= 1000.0))
         table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
-        lte = snap.is_lte
+        lte = np.arange(table.n_bs) < snap.n_lte
         served = table.snr_db >= table.snr_threshold_db
         bandwidth = table.unit_rate_bps / np.log2(1.0 + 10.0 ** (table.snr_db / 10.0))
         assert np.allclose(bandwidth[:, lte][served[:, lte]], 20e6, rtol=1e-12, atol=0)

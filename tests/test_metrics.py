@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from v2isim import (
+    NO_BS,
     Policy,
     jain_index,
     mean_rate_per_class,
@@ -110,19 +111,21 @@ class TestSatisfactionRatio:
 
 
 class TestLteRatio:
+    # stations below n_lte are LTE
     def test_all_lte(self):
-        assert lte_ratio(arr([Tier.LTE] * 4, int)) == 1.0
+        assert lte_ratio(arr([0, 1, 1, 0], int), 2) == 1.0
 
     def test_half(self):
-        tier = arr([Tier.LTE, Tier.MMWAVE] * 3, int)
-        assert lte_ratio(tier) == 0.5
+        assert lte_ratio(arr([0, 2, 1, 3, 1, 2], int), 2) == 0.5
+        assert lte_ratio(arr([0, 1], int), 0) == 0.0
 
     def test_unattached_count_in_denominator(self):
-        tier = arr([Tier.LTE, Tier.NONE, Tier.NONE, Tier.NONE], int)
-        assert lte_ratio(tier) == 0.25
+        # NO_BS is -1, below every n_lte, and never LTE
+        assert lte_ratio(arr([0, NO_BS, NO_BS, NO_BS], int), 1) == 0.25
+        assert lte_ratio(arr([NO_BS, 2, NO_BS], int), 2) == 0.0
 
     def test_empty_undefined(self):
-        assert math.isnan(lte_ratio(arr([], int)))
+        assert math.isnan(lte_ratio(arr([], int), 1))
 
 
 class TestJainIndex:
