@@ -70,10 +70,6 @@ class RunResult:
     run_index: int | None = None
 
     @property
-    def n_vn(self) -> int:
-        return self.rate_bps.size
-
-    @property
     def tier(self) -> np.ndarray:
         """Each vehicle's serving ``Tier`` as its int8 code."""
         bs = self.bs_id
@@ -268,7 +264,7 @@ def run_once(config: ScenarioConfig, lambda_m: float, policy: Policy,
     return RunResult(
         lambda_m=lambda_m,
         policy=policy,
-        class_k=snapshot.class_k.astype(np.int8),
+        class_k=snapshot.class_k,
         in_region=snapshot.in_region,
         required_rate_bps=snapshot.required_rate_bps,
         n_lte=snapshot.n_lte,

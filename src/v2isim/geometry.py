@@ -22,7 +22,7 @@ class Snapshot:
     bs_xy: np.ndarray  # (N, 2) meters
     n_lte: int
     vn_xy: np.ndarray  # (M, 2) meters
-    class_k: np.ndarray  # (M,) in 1..4
+    class_k: np.ndarray  # (M,) int8 in 1..4
     required_rate_bps: np.ndarray  # (M,)
     # x_min, x_max, y_min, y_max in meters, closed boundary
     measurement_region_m: tuple[float, float, float, float]
@@ -55,7 +55,8 @@ def build_snapshot(config: ScenarioConfig, lambda_m: float,
     else:
         n_vn = int(rng.poisson(config.vns_per_mmw_bs * (lambda_m * area)))
     vn_xy = rng.uniform(0.0, side, size=(n_vn, 2))
-    class_k = rng.choice(N_CLASSES, size=n_vn, p=list(config.class_probabilities)) + 1
+    class_k = (rng.choice(N_CLASSES, size=n_vn, p=list(config.class_probabilities))
+               + 1).astype(np.int8)
     required = np.asarray(config.class_requirements_bps, dtype=float)[class_k - 1]
     return Snapshot(np.concatenate(tiers), len(tiers[0]), vn_xy, class_k, required,
                     config.resolved_measurement_region())

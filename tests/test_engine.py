@@ -816,7 +816,7 @@ class TestRunOnce:
         with counted_rules() as calls:
             result = run_once(ScenarioConfig(), 40.0, Policy.MS,
                               derive_run_seed(1, 40.0, Policy.MS, 0))
-        assert calls == [] and result.n_vn > 0
+        assert calls == [] and result.bs_id.size > 0
 
     @pytest.mark.parametrize("policy", list(Policy))
     def test_layers_on_one_generator_compose_to_run_once(self, policy):
