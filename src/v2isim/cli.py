@@ -133,7 +133,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with (open(args.out, "w", encoding="utf-8", newline="") if args.out
               else nullcontext(sys.stdout)) as stream:
             if dump:
-                write_run_dump(run_spec(dump), stream, config)
+                write_run_dump(run_spec(dump), dump[3], stream, config)
             else:
                 _run_campaign(config, args, stream)
     except ConfigError as exc:

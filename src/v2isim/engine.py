@@ -67,7 +67,6 @@ class RunResult:
     rate_bps: np.ndarray
     convergence_iterations: int
     converged: bool
-    run_index: int | None = None
 
     @property
     def tier(self) -> np.ndarray:
@@ -123,8 +122,8 @@ def _first_repeat(choice: np.ndarray) -> int:
 def steady_state(state: AssociationState, snapshot: Snapshot | None,
                  link_table: LinkTable, policy: Policy,
                  rng: np.random.Generator, *,
-                 no_change_window_multiplier: float = 3.0,
-                 pick_cap_multiplier: float = 50.0,
+                 no_change_window_multiplier: float = ScenarioConfig.no_change_window_multiplier,
+                 pick_cap_multiplier: float = ScenarioConfig.pick_cap_multiplier,
                  ) -> tuple[AssociationState, int, bool]:
     """Randomized best-response loop: pick a uniform vehicle, detach it,
     re-run the policy, re-insert.
@@ -289,18 +288,17 @@ def run_spec(args: tuple[ScenarioConfig, float, Policy, int]) -> RunResult:
     worker pool can map over the specs."""
     config, lambda_m, policy, run_index = args
     seed = derive_run_seed(config.master_seed, lambda_m, policy, run_index)
-    result = run_once(config, lambda_m, policy, seed)
-    result.run_index = run_index
-    return result
+    return run_once(config, lambda_m, policy, seed)
 
 
 def run_campaign(config: ScenarioConfig, *, workers: int = 1,
                  ) -> Iterator[RunResult]:
     """Stream every run of the (density grid x policies x n_sim) campaign.
 
-    Results arrive in canonical order (density ascending, policy, run
-    index) regardless of the worker count, so downstream aggregation is
-    byte-reproducible.
+    The one place that orders the campaign: results arrive in canonical
+    order (density ascending, policy in ``Policy`` order, run index)
+    whatever the worker count, and ``summarize`` and ``write_results`` keep
+    the order they are given.
     """
     policies = [p for p in Policy if p.value in config.policies]
     specs = [(config, lm, pol, run)

@@ -84,7 +84,8 @@ class RunMetrics:
     """One run reduced to its per-run figures, keyed by output column in
     RUN_FIGURES order (``p_lte``, ``p_sat``, ``mean_rate_k_bps``,
     ``jain_k``), plus each class's in-region rates,
-    ``class_rates_bps[k - 1]``, for the cell's pooled worst-decile figure."""
+    ``class_rates_bps[k - 1]``, for the cell's pooled worst-decile figure.
+    A run's index is its place in ``run_campaign``'s order."""
 
     lambda_m: float
     policy_name: str
@@ -92,7 +93,6 @@ class RunMetrics:
     # arrays have no scalar ==, so they stay out of the generated __eq__
     class_rates_bps: tuple[np.ndarray, ...] = field(compare=False, repr=False)
     converged: bool
-    run_index: int | None = None
 
 
 def compute_run_metrics(result: RunResult) -> RunMetrics:
@@ -109,7 +109,6 @@ def compute_run_metrics(result: RunResult) -> RunMetrics:
             *map(mean_rate_per_class, class_rates), *map(jain_index, class_rates)))),
         class_rates_bps=class_rates,
         converged=result.converged,
-        run_index=result.run_index,
     )
 
 
@@ -124,9 +123,9 @@ def summarize(run_metrics) -> dict:
     """One (density, policy) cell's row: every CSV column but ``seed``. A
     per-run figure is averaged over the runs that define it (NaN when none
     does); ``p10_k_bps`` is the worst-decile mean of the pooled class-k rates.
+    Runs are reduced in the order given, ``run_campaign``'s being canonical.
     """
-    rows = sorted(run_metrics,
-                  key=lambda r: (r.run_index if r.run_index is not None else 0))
+    rows = list(run_metrics)
     if not rows:
         raise ValueError("summarize requires at least one run")
     first = rows[0]

@@ -12,7 +12,7 @@ from typing import IO, Iterable
 
 from ._version import __version__
 from .channel import Tier
-from .config import POLICY_NAMES, ScenarioConfig
+from .config import ScenarioConfig
 from .engine import RunResult
 from .metrics import CSV_COLUMNS
 
@@ -40,12 +40,10 @@ def config_header_lines(config: ScenarioConfig) -> list[str]:
 def write_results(cells: Iterable[dict], fmt: str, stream: IO[str],
                   config: ScenarioConfig) -> None:
     """Header comment block, then one row per cell (a ``summarize`` row
-    plus the config's master seed), ordered by density and then by policy
-    in POLICY_NAMES order."""
+    plus the config's master seed) in the order given; ``run_campaign``'s
+    order, density then policy, is the canonical one."""
     for line in config_header_lines(config):
         stream.write(line + "\n")
-    cells = sorted(cells, key=lambda cell: (cell["lambda_m"],
-                                            POLICY_NAMES.index(cell["policy"])))
     seeded = ({**cell, "seed": config.master_seed} for cell in cells)
     rows = ([row[column] for column in CSV_COLUMNS] for row in seeded)
     if fmt == "csv":
@@ -62,14 +60,13 @@ def write_results(cells: Iterable[dict], fmt: str, stream: IO[str],
         raise ValueError(f"unknown output format {fmt!r}")
 
 
-def write_run_dump(result: RunResult, stream: IO[str],
+def write_run_dump(result: RunResult, run_index: int, stream: IO[str],
                    config: ScenarioConfig) -> None:
-    """Per-vehicle records of a single run, for debugging."""
+    """Per-vehicle records of run ``run_index`` of its cell, for debugging."""
     for line in config_header_lines(config):
         stream.write(line + "\n")
     stream.write("# cell lambda_m={} policy={} run_index={} converged={}\n".format(
-        _fmt(result.lambda_m), result.policy.value, result.run_index,
-        result.converged))
+        _fmt(result.lambda_m), result.policy.value, run_index, result.converged))
     stream.write(",".join(RUN_DUMP_COLUMNS) + "\n")
     for i, tier in enumerate(result.tier.tolist()):
         stream.write(",".join([

@@ -1,3 +1,4 @@
+import inspect
 import math
 from contextlib import contextmanager
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from v2isim import (
     realized_rates,
     run_campaign,
     run_once,
+    run_spec,
     steady_state,
 )
 from v2isim import engine
@@ -266,6 +268,13 @@ class TestSteadyState:
         assert converged
         assert picks == 6  # 3 * |M| no-change picks, nothing else
         assert np.array_equal(state.assignment, before)
+
+    def test_stop_defaults_are_the_configs(self):
+        params = inspect.signature(steady_state).parameters
+        config = ScenarioConfig()
+        assert params["no_change_window_multiplier"].default == \
+            config.no_change_window_multiplier
+        assert params["pick_cap_multiplier"].default == config.pick_cap_multiplier
 
     def test_ms_steady_state_equals_argmax(self, rng):
         for _ in range(100):
@@ -849,6 +858,24 @@ class TestCampaign:
                              policies=("MS", "MR", "RA"), n_sim=2,
                              vn_mode="FIXED", fixed_vn_count=20)
         assert len(list(run_campaign(cfg))) == 12
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_yields_runs_in_canonical_order(self, workers):
+        # grid and policies given out of order: run_campaign alone orders
+        # the campaign, density then policy then run index, and summarize
+        # and write_results keep the order they are given
+        cfg = ScenarioConfig(mmw_density_grid_per_km2=(8.0, 4.0), policies=("RA", "MS"),
+                             n_sim=2, vn_mode="FIXED", fixed_vn_count=20)
+        specs = [(cfg, lam, pol, index) for lam in (4.0, 8.0)
+                 for pol in (Policy.MS, Policy.RA) for index in range(cfg.n_sim)]
+        results = list(run_campaign(cfg, workers=workers))
+        assert [(r.lambda_m, r.policy) for r in results] == [spec[1:3] for spec in specs]
+        # the two runs of a cell differ, so each run pins its index
+        assert not np.array_equal(results[0].rate_bps, results[1].rate_bps)
+        for result, spec in zip(results, specs):
+            want = run_spec(spec)
+            assert np.array_equal(result.bs_id, want.bs_id)
+            assert np.array_equal(result.rate_bps, want.rate_bps)
 
     def test_seed_isolation_across_cells(self):
         # a run of cell (4, MS) is identical whether or not other cells run

@@ -154,18 +154,17 @@ def figures(p_sat, p_lte=0.5, mean=1e6, jain=0.9):
 
 
 def metrics_row(p_sat, lambda_m=4.0, policy="MS", p_lte=0.5,
-                mean=1e6, jain=0.9, converged=True, run_index=0,
-                class_rates=(5e5, 1.5e6)):
+                mean=1e6, jain=0.9, converged=True, class_rates=(5e5, 1.5e6)):
     return RunMetrics(lambda_m=lambda_m, policy_name=policy,
                       figures=figures(p_sat, p_lte, mean, jain),
                       class_rates_bps=(arr(class_rates),) * 4,
-                      converged=converged, run_index=run_index)
+                      converged=converged)
 
 
-def class4_row(rates, run_index, other=()):
+def class4_row(rates, other=()):
     """A run whose class-4 vehicles have the given rates and whose classes
     1-3 all have the rates in ``other``."""
-    row = metrics_row(0.5, run_index=run_index)
+    row = metrics_row(0.5)
     return replace(row, class_rates_bps=(arr(other),) * 3 + (arr(rates),))
 
 
@@ -176,16 +175,15 @@ class TestSummarize:
         assert summary["run_count"] == 1
 
     def test_mean_of_two(self):
-        summary = summarize([metrics_row(0.5, run_index=0),
-                             metrics_row(1.0, run_index=1)])
+        summary = summarize([metrics_row(0.5), metrics_row(1.0)])
         assert summary["p_sat"] == pytest.approx(0.75)
 
     def test_undefined_markers_skipped_not_imputed(self):
-        rows = [metrics_row(0.5, run_index=0), metrics_row(1.0, run_index=1)]
+        rows = [metrics_row(0.5), metrics_row(1.0)]
         rows.append(RunMetrics(lambda_m=4.0, policy_name="MS",
                                figures=figures(math.nan, mean=math.nan, jain=math.nan),
                                class_rates_bps=(arr([]),) * 4,
-                               converged=True, run_index=2))
+                               converged=True))
         summary = summarize(rows)
         assert summary["p_sat"] == pytest.approx(0.75)
         assert summary["run_count"] == 3
@@ -193,29 +191,27 @@ class TestSummarize:
     def test_p10_pools_vehicles_across_runs(self):
         # 20 pooled rates: the worst decile is {1, 2}, not the mean of
         # the per-run worst deciles (1 + 1000) / 2
-        summary = summarize([class4_row(range(1, 11), 0),
-                             class4_row(range(1000, 1010), 1)])
+        summary = summarize([class4_row(range(1, 11)),
+                             class4_row(range(1000, 1010))])
         assert summary["p10_4_bps"] == 1.5
 
     def test_p10_independent_of_run_order(self, rng):
         runs = [rng.exponential(1e8, size=int(rng.integers(1, 30)))
                 for _ in range(7)]
-        forward = summarize([class4_row(r, i) for i, r in enumerate(runs)])
-        backward = summarize([class4_row(r, i)
-                              for i, r in enumerate(reversed(runs))][::-1])
+        forward = summarize([class4_row(r) for r in runs])
+        backward = summarize([class4_row(r) for r in reversed(runs)])
         p10 = [f"p10_{k}_bps" for k in range(1, 5)]
         assert [forward[c] for c in p10] == [backward[c] for c in p10]
 
     def test_p10_class_empty_in_some_runs_skipped(self):
-        summary = summarize([class4_row([], 0, other=[]),
-                             class4_row(range(1, 11), 1, other=[]),
-                             class4_row([], 2, other=[])])
+        summary = summarize([class4_row([], other=[]),
+                             class4_row(range(1, 11), other=[]),
+                             class4_row([], other=[])])
         assert summary["p10_4_bps"] == 1.0
         assert all(math.isnan(summary[f"p10_{k}_bps"]) for k in range(1, 4))
 
     def test_nonconverged_counted(self):
-        rows = [metrics_row(0.5, run_index=0),
-                metrics_row(0.5, converged=False, run_index=1)]
+        rows = [metrics_row(0.5), metrics_row(0.5, converged=False)]
         assert summarize(rows)["nonconverged_runs"] == 1
 
     def test_rejects_mixed_cells(self):
@@ -226,15 +222,13 @@ class TestSummarize:
             summarize([])
 
     def test_row_has_every_column_but_the_seed(self):
-        row = summarize([metrics_row(0.5, run_index=0), metrics_row(1.0, run_index=1)])
+        row = summarize([metrics_row(0.5), metrics_row(1.0)])
         assert set(row) == set(CSV_COLUMNS) - {"seed"}
 
     def test_aggregation_linearity(self, rng):
         # mean-type metrics over a concatenation equal the weighted average
-        rows_a = [metrics_row(float(p), run_index=i)
-                  for i, p in enumerate(rng.uniform(0, 1, 10))]
-        rows_b = [metrics_row(float(p), run_index=10 + i)
-                  for i, p in enumerate(rng.uniform(0, 1, 30))]
+        rows_a = [metrics_row(float(p)) for p in rng.uniform(0, 1, 10)]
+        rows_b = [metrics_row(float(p)) for p in rng.uniform(0, 1, 30)]
         s_all = summarize(rows_a + rows_b)
         s_a = summarize(rows_a)
         s_b = summarize(rows_b)
