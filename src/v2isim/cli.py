@@ -5,7 +5,8 @@ import argparse
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from typing import IO, Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .config import POLICY_NAMES, ConfigError, Policy, ScenarioConfig, load_config
 from .engine import run_campaign, run_spec
@@ -103,22 +104,18 @@ def _dump_spec(config: ScenarioConfig, args: argparse.Namespace,
     return config, lambda_m, policy, run_index
 
 
-def _run_campaign(config: ScenarioConfig, args: argparse.Namespace,
-                  stream: IO[str]) -> None:
-    # Results stream cell by cell in canonical order, so each cell is
-    # reduced as soon as its n_sim runs are in and its rates are dropped.
-    cells = []
-    rows = []
-    cells_total = len(config.mmw_density_grid_per_km2) * len(config.policies)
-    for result in run_campaign(config, workers=args.parallel):
-        rows.append(compute_run_metrics(result))
-        if len(rows) == config.n_sim:
-            cells.append(summarize(rows))
-            rows = []
-            print(f"[v2isim] cell {len(cells)}/{cells_total} done "
-                  f"(lambda_m={result.lambda_m:g}, policy={result.policy.value})",
-                  file=sys.stderr, flush=True)
-    write_results(cells, args.format, stream, config)
+def _cells(config: ScenarioConfig, workers: int) -> Iterator[dict]:
+    """Each cell's ``summarize`` row as soon as its ``n_sim``-th run is in,
+    in ``run_campaign``'s order. A cell's progress line follows its yield,
+    so it appears once the row has been written."""
+    runs = map(compute_run_metrics, run_campaign(config, workers=workers))
+    total = len(config.mmw_density_grid_per_km2) * len(config.policies)
+    for done in range(1, total + 1):
+        cell = summarize(islice(runs, config.n_sim))
+        yield cell
+        print(f"[v2isim] cell {done}/{total} done "
+              f"(lambda_m={cell['lambda_m']:g}, policy={cell['policy']})",
+              file=sys.stderr, flush=True)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -135,7 +132,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if dump:
                 write_run_dump(run_spec(dump), dump[3], stream, config)
             else:
-                _run_campaign(config, args, stream)
+                write_results(_cells(config, args.parallel), args.format,
+                              stream, config)
     except ConfigError as exc:
         print(f"v2isim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

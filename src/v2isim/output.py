@@ -40,8 +40,8 @@ def config_header_lines(config: ScenarioConfig) -> list[str]:
 def write_results(cells: Iterable[dict], fmt: str, stream: IO[str],
                   config: ScenarioConfig) -> None:
     """Header comment block, then one row per cell (a ``summarize`` row
-    plus the config's master seed) in the order given; ``run_campaign``'s
-    order, density then policy, is the canonical one."""
+    plus the config's master seed) in the order given, each flushed once
+    written; ``run_campaign``'s order, density then policy, is canonical."""
     for line in config_header_lines(config):
         stream.write(line + "\n")
     seeded = ({**cell, "seed": config.master_seed} for cell in cells)
@@ -51,11 +51,13 @@ def write_results(cells: Iterable[dict], fmt: str, stream: IO[str],
         for values in rows:
             stream.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
                                   for v in values) + "\n")
+            stream.flush()
     elif fmt == "jsonl":
         for values in rows:
             stream.write(json.dumps({
                 column: _round6(v) if isinstance(v, float) else v
                 for column, v in zip(CSV_COLUMNS, values)}) + "\n")
+            stream.flush()
     else:
         raise ValueError(f"unknown output format {fmt!r}")
 

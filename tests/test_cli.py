@@ -1,10 +1,12 @@
 import io
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from v2isim import Policy, ScenarioConfig
+from v2isim import cli
 from v2isim.cli import main
 from v2isim.engine import RunResult
 from v2isim.output import CSV_COLUMNS, write_run_dump
@@ -192,6 +194,73 @@ class TestDeterminism:
         run_cli(capsys, "--config", fast_config, *FAST, "--out", str(dest))
         _, out, _ = run_cli(capsys, "--config", fast_config, *FAST)
         assert dest.read_text() == out
+
+
+class Interrupted(Exception):
+    """Raised by a test hook in place of a Ctrl-C or a worker failure."""
+
+
+def count_runs(monkeypatch, stop_at=None):
+    """Wraps ``cli.run_campaign`` around the real generator: the returned
+    list counts the runs it hands on, and it raises ``Interrupted`` in place
+    of run ``stop_at``."""
+    real, handed = cli.run_campaign, []
+
+    def campaign(config, *, workers):
+        for result in real(config, workers=workers):
+            if len(handed) == stop_at:
+                raise Interrupted
+            handed.append(result)
+            yield result
+
+    monkeypatch.setattr(cli, "run_campaign", campaign)
+    return handed
+
+
+class ClosedReader(io.StringIO):
+    """A standard output whose reader has gone: the first row fails."""
+
+    def write(self, text):
+        if text[0].isdigit():  # a row starts with its lambda_m
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+
+class TestStreaming:
+    # four cells of two runs; MR so that a cell's runs take a policy call
+    GRID = ["--lambda-m", "4,8", "--policy", "MS", "--policy", "MR",
+            "--runs", "2", "--seed", "3"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("stop_at", [0, 3, 4, 7])
+    def test_interrupted_out_is_a_prefix_of_the_full_output(
+            self, capsys, monkeypatch, tmp_path, fast_config, workers, stop_at):
+        args = ["--config", fast_config, *self.GRID, "--parallel", workers]
+        full, part = tmp_path / "full.csv", tmp_path / "part.csv"
+        assert main([*args, "--out", str(full)]) == 0
+        capsys.readouterr()
+        count_runs(monkeypatch, stop_at)
+        with pytest.raises(Interrupted):
+            main([*args, "--out", str(part)])
+        # the comment block, the column names and every finished cell
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert part.read_bytes() == b"".join(lines[:3 + stop_at // 2])
+        assert capsys.readouterr().err.count(" done ") == stop_at // 2
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_closed_reader_stops_the_campaign_at_the_first_row(
+            self, capsys, monkeypatch, fast_config, workers):
+        handed = count_runs(monkeypatch)
+        monkeypatch.setattr("sys.stdout", ClosedReader())
+        code = main(["--config", fast_config, *self.GRID, "--parallel", workers])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "i/o error" in err and "Broken pipe" in err
+        # the first cell's runs and no more, and no cell reported done
+        assert len(handed) == 2
+        assert " done " not in err
+        assert multiprocessing.active_children() == []
 
 
 class TestJsonl:
