@@ -131,7 +131,10 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
     The loop stops ceil(window_multiplier * M) picks after its last move, or
     at the hard cap of ceil(cap_multiplier * M) total picks. With
     ``settled`` the number of picks up to and including the last move, it
-    returns (state, min(cap, settled + window), settled + window <= cap).
+    returns (state, min(cap, settled + window), converged). A run is
+    ``converged`` when settled + window <= cap and it ends at a fixed point
+    of its rule: the stale set is evaluated at the stop, as at a block
+    boundary, and no vehicle is left dirty.
 
     A ``choice`` vector holds each vehicle's choice, ``bar`` its
     ``policy.thresholds``, a ``stale`` mask the vehicles a move may have
@@ -219,7 +222,10 @@ def steady_state(state: AssociationState, snapshot: Snapshot | None,
                 flagged = unsettled(link_table, assignment, loads, choice, bar, old, new)
                 stale |= flagged
                 dirty |= flagged
-    return state, min(cap, settled + window), settled + window <= cap
+    if stale.any():
+        evaluate()
+    converged = settled + window <= cap and not dirty.any()
+    return state, min(cap, settled + window), converged
 
 
 def _next_dirty(dirty: np.ndarray, batch: np.ndarray, start: int,

@@ -189,7 +189,9 @@ def reference_steady_state(state, snapshot, link_table, policy, rng, *,
 
     Terminates once no pick has changed any assignment for
     ceil(window_multiplier * M) consecutive picks, or at the hard cap of
-    ceil(cap_multiplier * M) total picks. Returns (state, picks, converged).
+    ceil(cap_multiplier * M) total picks. Returns (state, picks, converged):
+    converged when the window ran out before the cap and no vehicle's rule,
+    at the loads without it, moves it.
     """
     m = link_table.n_vn
     if m == 0:
@@ -220,6 +222,11 @@ def reference_steady_state(state, snapshot, link_table, policy, rng, *,
                     break
             else:
                 streak = 0
+    for vn in range(m):
+        without = loads.copy()
+        if assignment[vn] != NO_BS:
+            without[assignment[vn]] -= 1
+        converged = converged and kernel(link_table, vn, without) == assignment[vn]
     return check_state(state), picks, converged
 
 

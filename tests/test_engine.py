@@ -541,6 +541,80 @@ class TestSteadyState:
                 oracles.check_state(AssociationState(assignment, np.array(loads)))
 
 
+def as_instance(table):
+    """A micro table as an ``oracles`` instance, with the table's own unit
+    rates, so that the oracle compares the rates the engine compares."""
+    return (table.snr_db.tolist(), table.unit_rate_bps.tolist(),
+            table.bandwidth_hz.tolist(), [j < table.n_lte for j in range(table.n_bs)],
+            table.required_rate_bps.tolist(), table.snr_threshold_db)
+
+
+def snapshot_run(lam, policy, seed):
+    """The table of a default-config run and the end of its loop:
+    (table, state, picks, converged), as ``run_once`` runs it."""
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(seed)
+    snap = build_snapshot(cfg, lam, rng)
+    table = build_link_table(snap, rng, cfg.channel, cfg.snr_threshold_db)
+    state = initial_attach(snap, table, policy)
+    return (table, *steady_state(state, snap, table, policy, rng))
+
+
+def rule_moves(table, policy, state):
+    """Which vehicles their rule moves from ``state``: under MS those off
+    ``strongest_bs``, under MR and RA those the kernel sends elsewhere."""
+    if policy is Policy.MS:
+        choice = table.strongest_bs
+    else:
+        choice, _ = POLICY_KERNELS[policy](table, state.assignment, state.loads,
+                                           np.arange(table.n_vn))
+    return choice != state.assignment
+
+
+class TestConvergedIsAFixedPoint:
+    """A run is ``converged`` only at a fixed point of its own rule, and a
+    run that stops before the cap is ``converged`` at every fixed point."""
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), policy=st.sampled_from(list(Policy)),
+           window=st.floats(0.1, 8.0), cap=st.floats(0.1, 30.0),
+           seed=st.integers(0, 2**32))
+    def test_on_micro_instances(self, data, policy, window, cap, seed):
+        # at least one station: the MS oracle needs a column to take
+        table = data.draw(micro_tables(n_bs=st.integers(1, 4)))
+        state = data.draw(states(table, policy))
+        state, picks, converged = steady_state(
+            state, None, table, policy, np.random.default_rng(seed),
+            no_change_window_multiplier=window, pick_cap_multiplier=cap)
+        fixed = oracles.is_fixed_point(policy.value, as_instance(table),
+                                       state.assignment.tolist())
+        assert fixed or not converged
+        if picks < math.ceil(cap * table.n_vn):
+            assert converged == fixed
+
+    @pytest.mark.parametrize("policy", list(Policy))
+    @pytest.mark.parametrize("lam", [4.0, 24.0, 48.0])
+    @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32))
+    def test_on_snapshots(self, lam, policy, seed):
+        table, state, picks, converged = snapshot_run(lam, policy, seed)
+        fixed = not rule_moves(table, policy, state).any()
+        assert fixed or not converged
+        if picks < math.ceil(ScenarioConfig().pick_cap_multiplier * table.n_vn):
+            assert converged == fixed
+
+    def test_window_that_ends_off_a_fixed_point(self):
+        # run 6 of the MR cell at lambda 4 of tests/golden/per_mmw_bs.csv:
+        # its no-change window runs out, well inside the cap, while a
+        # vehicle's rule still moves it, so the cell counts one
+        # non-converged run
+        seed = derive_run_seed(20261018, 4.0, Policy.MR, 6)
+        table, state, picks, converged = snapshot_run(4.0, Policy.MR, seed)
+        assert picks < ScenarioConfig().pick_cap_multiplier * table.n_vn
+        assert rule_moves(table, Policy.MR, state).any()
+        assert not converged
+
+
 # The law test's contended micro instances: 3-6 vehicles on 2-3 stations,
 # every link in service (5-25 dB), stations mostly 1 GHz mmWave and else
 # 20 MHz LTE. Fixed before the test first ran: the instance seed, S runs per
@@ -575,9 +649,9 @@ class TestSteadyStateLaw:
     @pytest.mark.parametrize("window,cap", [
         (50.0, 400.0),
         pytest.param(3.0, 50.0, marks=pytest.mark.xfail(strict=True, reason=(
-            "the FOUND fault of engine.steady_state in CHANGES.md: it stops "
-            "window picks after its last move, so some runs end off a fixed "
-            "point (268 of these 16,500 runs at the defaults)"))),
+            "engine.steady_state stops window picks after its last move, so "
+            "some runs end off a fixed point (268 of these 16,500 runs at the "
+            "defaults); it reports them as not converged"))),
     ], ids=["criterion-8-multipliers", "defaults"])
     def test_ends_at_each_fixed_point_as_often_as_the_process(
             self, law_cases, window, cap):
