@@ -227,7 +227,7 @@ class ClosedReader(io.StringIO):
 
 
 class TestStreaming:
-    # four cells of two runs; MR so that a cell's runs take a policy call
+    # four cells of two runs each, under MS and a load-dependent rule
     GRID = ["--lambda-m", "4,8", "--policy", "MS", "--policy", "MR",
             "--runs", "2", "--seed", "3"]
 
