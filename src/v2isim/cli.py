@@ -9,13 +9,13 @@ from itertools import islice
 from typing import Iterator, Sequence
 
 from .config import POLICY_NAMES, ConfigError, Policy, ScenarioConfig, load_config
-from .engine import run_campaign, run_spec
+from .engine import RunFailed, run_campaign, run_spec
 from .metrics import compute_run_metrics, summarize
 from .output import write_results, write_run_dump
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_IO = 2
+EXIT_STOPPED = 2  # an i/o error or a failed run; the output holds every finished cell
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +139,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"v2isim: i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_STOPPED
+    except RunFailed as exc:
+        print(f"v2isim: {exc}", file=sys.stderr)
+        return EXIT_STOPPED
     return EXIT_OK
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 import sys
 import types
@@ -170,11 +169,11 @@ def _parse(value: Any, kind: Any, base: Any, path: str) -> Any:
     return tuple(value) if isinstance(value, list) else value
 
 
-def _leaf(value: Any, kind: Any, path: str) -> Any:
-    """``value`` as the type ``kind`` of a field that is not a dataclass: a
-    finite number (an int or a float, not a bool) for float, exactly an int
-    or a str for int and str, None or the type for an optional field, and a
-    tuple of such entries for a tuple."""
+def _typed(value: Any, kind: Any, path: str) -> Any:
+    """``value`` as the type ``kind`` of a config field: a finite number (an
+    int or a float, not a bool) for float, exactly an int or a str for int
+    and str, None or the type for an optional field, a tuple of such entries
+    for a tuple, and a copy with typed fields for a dataclass."""
     if get_origin(kind) in (Union, types.UnionType):  # X | None
         if value is None:
             return None
@@ -185,8 +184,9 @@ def _leaf(value: Any, kind: Any, path: str) -> Any:
             raise ConfigError(f"{path}: expected a tuple, got {value!r}")
         if args[-1] is not Ellipsis and len(value) != len(args):
             raise ConfigError(f"{path}: expected {len(args)} entries, got {len(value)}")
-        typed = tuple(_leaf(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
-        return value if all(map(operator.is_, typed, value)) else typed
+        return tuple(_typed(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
+    if is_dataclass(kind) and isinstance(value, kind):
+        return replace(value, **_typed_fields(value, path + "."))
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
         # NaN fails the comparison, and so does an int too large for a float
         if not abs(value) <= sys.float_info.max:
@@ -194,28 +194,17 @@ def _leaf(value: Any, kind: Any, path: str) -> Any:
         return float(value)
     if kind in (int, str) and type(value) is kind:
         return value
-    expected = {float: "a number", int: "an integer", str: "a string"}[kind]
+    expected = {float: "a number", int: "an integer", str: "a string"}.get(
+        kind, f"a {kind.__name__}")
     raise ConfigError(f"{path}: expected {expected}, got {value!r}")
 
 
 def _typed_fields(obj: Any, prefix: str = "") -> dict[str, Any]:
-    """The fields of the config dataclass ``obj`` whose values change when
-    made their field's type (an int in a float field becomes a float).
+    """Every field of the config dataclass ``obj``, made its field's type.
     Raise ConfigError naming the first field holding a value its type does
     not take."""
-    changed = {}
-    for key, kind in _field_types(type(obj)).items():
-        value, path = getattr(obj, key), prefix + key
-        if not is_dataclass(kind):
-            typed = _leaf(value, kind, path)
-        elif isinstance(value, kind):
-            inner = _typed_fields(value, path + ".")
-            typed = replace(value, **inner) if inner else value
-        else:
-            raise ConfigError(f"{path}: expected a {kind.__name__}, got {value!r}")
-        if typed is not value:
-            changed[key] = typed
-    return changed
+    return {key: _typed(getattr(obj, key), kind, prefix + key)
+            for key, kind in _field_types(type(obj)).items()}
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:

@@ -249,9 +249,8 @@ def realized_rates(state: AssociationState, link_table: LinkTable) -> np.ndarray
     nothing else of them, never builds the table's ``unit_rate_bps``."""
     rates = np.zeros(link_table.n_vn, dtype=float)
     attached = np.flatnonzero(state.assignment >= 0)
-    if attached.size:
-        bs = state.assignment[attached]
-        rates[attached] = link_table.rates_at(attached, bs) / state.loads[bs]
+    bs = state.assignment[attached]
+    rates[attached] = link_table.rates_at(attached, bs) / state.loads[bs]
     return rates
 
 
@@ -297,6 +296,31 @@ def run_spec(args: tuple[ScenarioConfig, float, Policy, int]) -> RunResult:
     return run_once(config, lambda_m, policy, seed)
 
 
+class RunFailed(Exception):
+    """A campaign run raised: the message names the run by its ``--dump-run``
+    spec, which replays it with its traceback, and gives the error's repr."""
+
+
+def _run_or_failure(spec: tuple[ScenarioConfig, float, Policy, int],
+                    ) -> RunResult | RunFailed:
+    """``run_spec(spec)``, or the RunFailed naming the run if it raises. It
+    is returned, not raised, so a pool still hands back the runs before it."""
+    try:
+        return run_spec(spec)
+    except Exception as exc:
+        _, lambda_m, policy, run_index = spec
+        # repr reads back as the same float; 8.0 is written 8, as --dump-run
+        name = f"{repr(lambda_m).removesuffix('.0')}:{policy.value},{run_index}"
+        return RunFailed(f"run {name} failed: {exc!r}")
+
+
+def _until_failure(results: Iterator[RunResult | RunFailed]) -> Iterator[RunResult]:
+    for result in results:
+        if isinstance(result, RunFailed):
+            raise result
+        yield result
+
+
 def run_campaign(config: ScenarioConfig, *, workers: int = 1,
                  ) -> Iterator[RunResult]:
     """Stream every run of the (density grid x policies x n_sim) campaign.
@@ -304,7 +328,8 @@ def run_campaign(config: ScenarioConfig, *, workers: int = 1,
     The one place that orders the campaign: results arrive in canonical
     order (density ascending, policy in ``Policy`` order, run index)
     whatever the worker count, and ``summarize`` and ``write_results`` keep
-    the order they are given.
+    the order they are given. A run that raises ends the stream at its place
+    with ``RunFailed``, after every run before it, at any worker count.
     """
     policies = [p for p in Policy if p.value in config.policies]
     specs = [(config, lm, pol, run)
@@ -312,11 +337,11 @@ def run_campaign(config: ScenarioConfig, *, workers: int = 1,
              for pol in policies for run in range(config.n_sim)]
     workers = min(workers, len(specs))
     if workers <= 1:
-        yield from map(run_spec, specs)
+        yield from _until_failure(map(_run_or_failure, specs))
         return
     import multiprocessing as mp
 
     ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() \
         else mp.get_context()
     with ctx.Pool(processes=workers) as pool:
-        yield from pool.imap(run_spec, specs, chunksize=4)
+        yield from _until_failure(pool.imap(_run_or_failure, specs, chunksize=4))

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from v2isim import ChannelParams, LinkTable, TierRadio, channel
+from v2isim import ChannelParams, LinkTable, TierRadio, channel, derive_run_seed, engine
 from v2isim.channel import Tier
 
 
@@ -18,6 +18,21 @@ def make_table(snr_rows, bandwidth_hz, n_lte, required_rate_bps=None,
     return LinkTable(snr, np.asarray(bandwidth_hz, dtype=float), n_lte,
                      np.asarray(required_rate_bps, dtype=float),
                      snr_threshold_db)
+
+
+def plant_failure(monkeypatch, lambda_m, policy, run_index):
+    """Make ``engine.run_once`` raise ValueError('planted') in the one run of
+    a campaign that (lambda_m, policy, run_index) names, and run every other
+    run as before. Pool workers forked after the call inherit the patch."""
+    real = engine.run_once
+
+    def run_once(config, lam, pol, seed):
+        planted = derive_run_seed(config.master_seed, lambda_m, policy, run_index)
+        if seed.entropy == planted.entropy:
+            raise ValueError("planted")
+        return real(config, lam, pol, seed)
+
+    monkeypatch.setattr(engine, "run_once", run_once)
 
 
 def los_snr_db(snapshot, params, unit_gain=False) -> np.ndarray:

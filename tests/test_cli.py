@@ -9,6 +9,7 @@ from v2isim import Policy, ScenarioConfig
 from v2isim import cli
 from v2isim.cli import main
 from v2isim.engine import RunResult
+from conftest import plant_failure
 from v2isim.output import CSV_COLUMNS, write_run_dump
 
 FAST = ["--lambda-m", "4", "--policy", "MS", "--runs", "2", "--seed", "7"]
@@ -197,7 +198,9 @@ class TestDeterminism:
 
 
 class Interrupted(Exception):
-    """Raised by a test hook in place of a Ctrl-C or a worker failure."""
+    """Raised by a test hook in place of a Ctrl-C: it stops the campaign
+    from outside, where a failed run (``TestFailedRun``) stops it from
+    inside."""
 
 
 def count_runs(monkeypatch, stop_at=None):
@@ -261,6 +264,41 @@ class TestStreaming:
         assert len(handed) == 2
         assert " done " not in err
         assert multiprocessing.active_children() == []
+
+
+class TestFailedRun:
+    # four cells of three runs each; the pool takes them in chunks of 4
+    GRID = ["--lambda-m", "4,8", "--policy", "MS", "--policy", "MR",
+            "--runs", "3", "--seed", "3"]
+    SPECS = [(lam, pol, index) for lam in (4.0, 8.0)
+             for pol in (Policy.MS, Policy.MR) for index in range(3)]
+
+    @pytest.mark.parametrize("k", [2, 5, 7])
+    def test_failed_run_keeps_every_finished_row_and_is_named(
+            self, capsys, monkeypatch, tmp_path, fast_config, k):
+        args = ["--config", fast_config, *self.GRID]
+        full = tmp_path / "full.csv"
+        assert main([*args, "--out", str(full)]) == 0
+        capsys.readouterr()
+        lam, pol, index = self.SPECS[k]
+        name = f"{lam:g}:{pol.value},{index}"
+        plant_failure(monkeypatch, lam, pol, index)
+        parts = []
+        for workers in ["1", "2"]:
+            part = tmp_path / f"part{workers}.csv"
+            code = main([*args, "--parallel", workers, "--out", str(part)])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert f"v2isim: run {name} failed: ValueError('planted')\n" in err
+            assert "Traceback" not in err
+            assert multiprocessing.active_children() == []
+            parts.append(part.read_bytes())
+        # the comment block, the column names and every finished cell
+        lines = full.read_bytes().splitlines(keepends=True)
+        assert parts[0] == parts[1] == b"".join(lines[:3 + k // 3])
+        # --dump-run replays the named run in process, with its error
+        with pytest.raises(ValueError, match="planted"):
+            main([*args, "--dump-run", name, "--out", str(tmp_path / "dump.csv")])
 
 
 class TestJsonl:

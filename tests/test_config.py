@@ -436,10 +436,3 @@ class TestOneGate:
         assert cfg.to_dict() == config_from_dict(
             {"channel": {"los_probability_override": 1.0}}).to_dict()
         assert type(cfg.channel.los_probability_override) is float
-
-    def test_float_config_keeps_its_objects(self):
-        # a config whose values already have their types is not copied
-        channel = ChannelParams()
-        cfg = ScenarioConfig(channel=channel)
-        assert cfg.channel is channel
-        assert cfg.mmw_density_grid_per_km2 is ScenarioConfig().mmw_density_grid_per_km2

@@ -26,9 +26,9 @@ from v2isim import (
 )
 from v2isim import engine
 from v2isim.channel import Tier
-from v2isim.engine import _ATTACH_BLOCK
+from v2isim.engine import _ATTACH_BLOCK, RunFailed
 from v2isim.policy import thresholds, unsettled
-from conftest import make_table
+from conftest import make_table, plant_failure
 import oracles
 
 PROPERTY_SETTINGS = settings(
@@ -999,6 +999,35 @@ class TestCampaign:
                              n_sim=n_sim, vn_mode="FIXED", fixed_vn_count=20)
         assert len(list(run_campaign(cfg, workers=workers))) == n_sim
         assert sizes == pool_sizes
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k", [0, 3, 5, 7])
+    def test_failed_run_ends_the_stream_after_every_run_before_it(
+            self, monkeypatch, workers, k):
+        # the pool takes the runs in chunks of 4: k is the first run of a
+        # chunk (0), the last (3, 7) or one in the middle (5), and every run
+        # before it arrives at either worker count
+        cfg = ScenarioConfig(mmw_density_grid_per_km2=(4.0, 8.0), policies=("MS", "MR"),
+                             n_sim=3, vn_mode="FIXED", fixed_vn_count=20)
+        specs = [(lam, pol, index) for lam in (4.0, 8.0)
+                 for pol in (Policy.MS, Policy.MR) for index in range(3)]
+        lam, pol, index = specs[k]
+        plant_failure(monkeypatch, lam, pol, index)
+        results = []
+        with pytest.raises(RunFailed) as failed:
+            results.extend(run_campaign(cfg, workers=workers))
+        assert [(r.lambda_m, r.policy) for r in results] == [s[:2] for s in specs[:k]]
+        assert str(failed.value) == \
+            f"run {lam:g}:{pol.value},{index} failed: ValueError('planted')"
+
+    def test_failed_run_names_its_density_exactly(self, monkeypatch):
+        # the name is a --dump-run spec that reads back as the same float
+        lam = 0.1 + 0.2
+        cfg = ScenarioConfig(mmw_density_grid_per_km2=(lam,), policies=("RA",),
+                             n_sim=2, vn_mode="FIXED", fixed_vn_count=20)
+        plant_failure(monkeypatch, lam, Policy.RA, 1)
+        with pytest.raises(RunFailed, match=r"^run 0\.30000000000000004:RA,1 failed"):
+            list(run_campaign(cfg))
 
     def test_derived_seeds_unique_per_cell(self):
         seen = set()
