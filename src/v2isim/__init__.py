@@ -30,7 +30,6 @@ from .engine import (
 )
 from .geometry import Snapshot, build_snapshot
 from .metrics import (
-    RunMetrics,
     compute_run_metrics,
     jain_index,
     mean_rate_per_class,
@@ -42,8 +41,8 @@ from .policy import POLICY_KERNELS
 
 __all__ = [
     "__version__", "AssociationState", "ChannelParams", "ConfigError",
-    "LinkTable", "NO_BS", "POLICY_KERNELS", "Policy", "RunMetrics",
-    "RunResult", "ScenarioConfig", "Snapshot", "TierRadio",
+    "LinkTable", "NO_BS", "POLICY_KERNELS", "Policy", "RunResult",
+    "ScenarioConfig", "Snapshot", "TierRadio",
     "build_link_table", "build_snapshot", "compute_run_metrics",
     "config_from_dict", "derive_run_seed", "initial_attach", "jain_index",
     "load_config", "los_probability_lte", "los_probability_mmw",

@@ -8,7 +8,7 @@ from dataclasses import replace
 from itertools import islice
 from typing import Iterator, Sequence
 
-from .config import POLICY_NAMES, ConfigError, Policy, ScenarioConfig, load_config
+from .config import POLICY_NAMES, ConfigError, Policy, ScenarioConfig, density_text, load_config
 from .engine import RunFailed, run_campaign, run_spec
 from .metrics import compute_run_metrics, summarize
 from .output import write_results, write_run_dump
@@ -114,7 +114,7 @@ def _cells(config: ScenarioConfig, workers: int) -> Iterator[dict]:
         cell = summarize(islice(runs, config.n_sim))
         yield cell
         print(f"[v2isim] cell {done}/{total} done "
-              f"(lambda_m={cell['lambda_m']:g}, policy={cell['policy']})",
+              f"(lambda_m={density_text(cell['lambda_m'])}, policy={cell['policy']})",
               file=sys.stderr, flush=True)
 
 

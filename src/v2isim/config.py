@@ -143,6 +143,12 @@ def density_key(lambda_m: float) -> int:
     return int(round(lambda_m * 1e6))
 
 
+def density_text(lambda_m: float) -> str:
+    """A density as the outputs and ``--dump-run`` write it: its repr, which
+    reads back as the same float, less a trailing ``.0`` (8.0 is written 8)."""
+    return repr(float(lambda_m)).removesuffix(".0")
+
+
 @functools.cache
 def _field_types(cls: type) -> dict[str, Any]:
     """The declared type of each field of a config dataclass; resolving the
@@ -232,6 +238,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(len(cfg.mmw_density_grid_per_km2) > 0, "mmw_density_grid_per_km2: must be non-empty")
     _require(all(d >= 0 for d in cfg.mmw_density_grid_per_km2),
              "mmw_density_grid_per_km2: densities must be >= 0")
+    # below it, density_key's lambda * 1e6 is a finite float
+    _require(all(d < 1e302 for d in cfg.mmw_density_grid_per_km2),
+             "mmw_density_grid_per_km2: densities must be < 1e302")
     _require(len(set(map(density_key, cfg.mmw_density_grid_per_km2)))
              == len(cfg.mmw_density_grid_per_km2),
              "mmw_density_grid_per_km2: duplicate entry")

@@ -32,7 +32,7 @@ from typing import Iterator
 import numpy as np
 
 from .channel import NO_BS, LinkTable, Tier, build_link_table
-from .config import Policy, ScenarioConfig, density_key
+from .config import Policy, ScenarioConfig, density_key, density_text
 from .geometry import Snapshot, build_snapshot
 from .policy import POLICY_KERNELS, thresholds, unsettled
 
@@ -309,9 +309,8 @@ def _run_or_failure(spec: tuple[ScenarioConfig, float, Policy, int],
         return run_spec(spec)
     except Exception as exc:
         _, lambda_m, policy, run_index = spec
-        # repr reads back as the same float; 8.0 is written 8, as --dump-run
-        name = f"{repr(lambda_m).removesuffix('.0')}:{policy.value},{run_index}"
-        return RunFailed(f"run {name} failed: {exc!r}")
+        return RunFailed(f"run {density_text(lambda_m)}:{policy.value},{run_index} "
+                         f"failed: {exc!r}")
 
 
 def _until_failure(results: Iterator[RunResult | RunFailed]) -> Iterator[RunResult]:

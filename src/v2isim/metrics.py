@@ -4,10 +4,10 @@ All metrics are computed over in-region vehicles only. A class with no
 in-region members in a run yields NaN (an undefined marker) and is skipped
 when averaging across runs, never imputed as zero.
 
-Each figure is known by its output column: ``RunMetrics.figures`` holds a
-run's figures by column, and ``summarize`` returns a cell's row keyed by
-``CSV_COLUMNS``, all but ``seed``, which is the campaign's. The columns and
-their order are defined here alone.
+Each figure is known by its output column: ``compute_run_metrics`` returns
+a run's row and ``summarize`` a cell's, both keyed by output column, the
+cell's by ``CSV_COLUMNS`` all but ``seed``, which is the campaign's. The
+columns and their order are defined here alone.
 
 A cell reduces its runs in two ways. The mean rate, satisfaction ratio,
 LTE ratio and Jain index are computed per run and then averaged across
@@ -19,7 +19,6 @@ users over all drops in 3GPP TR 36.814 Annex A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -79,37 +78,20 @@ RUN_FIGURES = ("p_lte", "p_sat", *(MEAN_RATE.format(k) for k in CLASSES),
                *(JAIN.format(k) for k in CLASSES))
 
 
-@dataclass(frozen=True)
-class RunMetrics:
-    """One run reduced to its per-run figures, keyed by output column in
-    RUN_FIGURES order (``p_lte``, ``p_sat``, ``mean_rate_k_bps``,
-    ``jain_k``), plus each class's in-region rates,
-    ``class_rates_bps[k - 1]``, for the cell's pooled worst-decile figure.
-    A run's index is its place in ``run_campaign``'s order."""
-
-    lambda_m: float
-    policy_name: str
-    figures: dict[str, float]
-    # arrays have no scalar ==, so they stay out of the generated __eq__
-    class_rates_bps: tuple[np.ndarray, ...] = field(compare=False, repr=False)
-    converged: bool
-
-
-def compute_run_metrics(result: RunResult) -> RunMetrics:
+def compute_run_metrics(result: RunResult) -> dict:
+    """One run's row: ``lambda_m``, ``policy``, each RUN_FIGURES column,
+    ``converged`` and ``class_rates_bps``, whose ``[k - 1]`` holds the run's
+    in-region class-k rates, which the cell pools for ``p10_k_bps``."""
     mask = result.in_region
     rates = result.rate_bps[mask]
     classes = result.class_k[mask]
-    required = result.required_rate_bps[mask]
     class_rates = tuple(rates[classes == k] for k in CLASSES)
-    return RunMetrics(
-        lambda_m=result.lambda_m,
-        policy_name=result.policy.value,
-        figures=dict(zip(RUN_FIGURES, (
-            lte_ratio(result.bs_id[mask], result.n_lte), satisfaction_ratio(rates, required),
-            *map(mean_rate_per_class, class_rates), *map(jain_index, class_rates)))),
-        class_rates_bps=class_rates,
-        converged=result.converged,
-    )
+    return {"lambda_m": result.lambda_m, "policy": result.policy.value,
+            **dict(zip(RUN_FIGURES, (
+                lte_ratio(result.bs_id[mask], result.n_lte),
+                satisfaction_ratio(rates, result.required_rate_bps[mask]),
+                *map(mean_rate_per_class, class_rates), *map(jain_index, class_rates)))),
+            "converged": result.converged, "class_rates_bps": class_rates}
 
 
 def _nan_mean(values: list[float]) -> float:
@@ -129,14 +111,13 @@ def summarize(run_metrics) -> dict:
     if not rows:
         raise ValueError("summarize requires at least one run")
     first = rows[0]
-    if any(r.lambda_m != first.lambda_m or r.policy_name != first.policy_name
+    if any(r["lambda_m"] != first["lambda_m"] or r["policy"] != first["policy"]
            for r in rows):
         raise ValueError("summarize expects runs from a single cell")
-    cell = {"lambda_m": float(first.lambda_m), "policy": first.policy_name,
+    cell = {"lambda_m": float(first["lambda_m"]), "policy": first["policy"],
             "run_count": len(rows),
-            "nonconverged_runs": sum(1 for r in rows if not r.converged)}
-    cell.update((column, _nan_mean([r.figures[column] for r in rows]))
-                for column in RUN_FIGURES)
+            "nonconverged_runs": sum(1 for r in rows if not r["converged"])}
+    cell.update((column, _nan_mean([r[column] for r in rows])) for column in RUN_FIGURES)
     cell.update((P10.format(k), worst_decile_mean(
-        np.concatenate([r.class_rates_bps[k - 1] for r in rows]))) for k in CLASSES)
+        np.concatenate([r["class_rates_bps"][k - 1] for r in rows]))) for k in CLASSES)
     return cell

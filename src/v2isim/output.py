@@ -12,7 +12,7 @@ from typing import IO, Iterable
 
 from ._version import __version__
 from .channel import Tier
-from .config import ScenarioConfig
+from .config import ScenarioConfig, density_text
 from .engine import RunResult
 from .metrics import CSV_COLUMNS
 
@@ -46,17 +46,18 @@ def write_results(cells: Iterable[dict], fmt: str, stream: IO[str],
         stream.write(line + "\n")
     seeded = ({**cell, "seed": config.master_seed} for cell in cells)
     rows = ([row[column] for column in CSV_COLUMNS] for row in seeded)
+    # lambda_m, the first column, is written exactly: a row names its cell
     if fmt == "csv":
         stream.write(",".join(CSV_COLUMNS) + "\n")
-        for values in rows:
-            stream.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in values) + "\n")
+        for lambda_m, *values in rows:
+            stream.write(",".join([density_text(lambda_m), *(
+                _fmt(v) if isinstance(v, float) else str(v) for v in values)]) + "\n")
             stream.flush()
     elif fmt == "jsonl":
-        for values in rows:
-            stream.write(json.dumps({
+        for lambda_m, *values in rows:
+            stream.write(json.dumps({"lambda_m": lambda_m, **{
                 column: _round6(v) if isinstance(v, float) else v
-                for column, v in zip(CSV_COLUMNS, values)}) + "\n")
+                for column, v in zip(CSV_COLUMNS[1:], values)}}) + "\n")
             stream.flush()
     else:
         raise ValueError(f"unknown output format {fmt!r}")
@@ -68,7 +69,7 @@ def write_run_dump(result: RunResult, run_index: int, stream: IO[str],
     for line in config_header_lines(config):
         stream.write(line + "\n")
     stream.write("# cell lambda_m={} policy={} run_index={} converged={}\n".format(
-        _fmt(result.lambda_m), result.policy.value, run_index, result.converged))
+        density_text(result.lambda_m), result.policy.value, run_index, result.converged))
     stream.write(",".join(RUN_DUMP_COLUMNS) + "\n")
     for i, tier in enumerate(result.tier.tolist()):
         stream.write(",".join([

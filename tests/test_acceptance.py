@@ -35,7 +35,7 @@ from v2isim import (
 )
 from v2isim import channel
 from v2isim.channel import Tier
-from v2isim.metrics import compute_run_metrics, summarize
+from v2isim.metrics import RUN_FIGURES, compute_run_metrics, summarize
 from conftest import flat_mmw_params, make_table
 import oracles
 
@@ -71,8 +71,8 @@ def _workers() -> int:
 
 
 def _campaign_runs(name):
-    """The per-run ``RunMetrics`` of one of ``CAMPAIGNS``, by (density,
-    policy) cell."""
+    """The per-run rows (``compute_run_metrics``) of one of ``CAMPAIGNS``,
+    by (density, policy) cell."""
     cfg = CAMPAIGNS[name]
     runs = len(cfg.mmw_density_grid_per_km2) * len(cfg.policies) * cfg.n_sim
     print(f"\n[acceptance] {name} campaign: {runs} runs", file=sys.__stdout__, flush=True)
@@ -221,14 +221,15 @@ def test_criterion_07_fixed_load_scenario(fixed500):
 def campaign_law(per_cell):
     """{"<density> <policy>": {figure: [mean, standard error]}}, both over
     the runs in which the figure is defined; [None, None] when no run
-    defines it. The figures are a run's ``RunMetrics.figures``; the pooled
-    worst-decile rate has no per-run value and stays under criterion 4."""
+    defines it. The figures are the ``RUN_FIGURES`` columns of a run's row;
+    the pooled worst-decile rate has no per-run value and stays under
+    criterion 4."""
     order = [p.value for p in Policy]
     law = {}
     for lam, pol in sorted(per_cell, key=lambda key: (key[0], order.index(key[1]))):
-        runs = [row.figures for row in per_cell[(lam, pol)]]
+        runs = per_cell[(lam, pol)]
         cell = {}
-        for figure in runs[0]:
+        for figure in RUN_FIGURES:
             values = np.array([run[figure] for run in runs])
             values = values[~np.isnan(values)]
             if values.size == 0:

@@ -85,6 +85,18 @@ class TestExitCodes:
         assert "config error" in err and "mmw_density_grid_per_km2" in err
         assert out == ""
 
+    # a density whose seed key, lambda * 1e6, overflows a float
+    @pytest.mark.parametrize("args,prefix", [
+        (["--lambda-m", "1e308"], ""),
+        (["--runs", "2", "--dump-run", "1e308:MS,0"], "--dump-run: "),
+    ], ids=["lambda-m", "dump-run"])
+    def test_density_too_large_is_exit_1(self, capsys, args, prefix):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 1
+        assert err == (f"v2isim: config error: {prefix}"
+                       "mmw_density_grid_per_km2: densities must be < 1e302\n")
+        assert out == ""
+
     @pytest.mark.parametrize("doc,key", [
         ('{"lte_density_per_km2": Infinity}', "lte_density_per_km2"),
         ('{"no_change_window_multiplier": Infinity}', "no_change_window_multiplier"),
@@ -168,6 +180,16 @@ class TestCsvOutput:
                             "--policy", "MS", "--runs", "1", "--seed", "1")
         rows = [line.split(",")[:2] for line in data_lines(out)[1:]]
         assert rows == [["4", "MS"], ["4", "RA"], ["8", "MS"], ["8", "RA"]]
+
+    def test_lambda_m_is_written_exactly(self, capsys, fast_config):
+        # two cells whose densities round to one 6-digit value
+        code, out, err = run_cli(capsys, "--config", fast_config, "--lambda-m",
+                                 "10.00001,10.00002", "--policy", "MS", "--runs", "1")
+        assert code == 0
+        assert [float(line.split(",")[0]) for line in data_lines(out)[1:]] == [
+            10.00001, 10.00002]
+        assert "(lambda_m=10.00001, policy=MS)" in err
+        assert "(lambda_m=10.00002, policy=MS)" in err
 
     def test_progress_goes_to_stderr_only(self, capsys, fast_config):
         _, out, err = run_cli(capsys, "--config", fast_config, *FAST)
@@ -312,6 +334,13 @@ class TestJsonl:
         assert rows[0]["run_count"] == 2
         assert rows[0]["seed"] == 7
 
+    def test_lambda_m_is_written_exactly(self, capsys, fast_config):
+        _, out, _ = run_cli(capsys, "--config", fast_config, "--lambda-m",
+                            "10.00001,10.00002", "--policy", "MS", "--runs", "1",
+                            "--format", "jsonl")
+        assert [json.loads(line)["lambda_m"] for line in data_lines(out)] == [
+            10.00001, 10.00002]
+
     def test_values_match_csv_rounding(self, capsys, fast_config):
         _, csv_out, _ = run_cli(capsys, "--config", fast_config, *FAST)
         _, jsonl_out, _ = run_cli(capsys, "--config", fast_config, *FAST,
@@ -348,6 +377,12 @@ class TestDumpRun:
             assert int(row[2]) == int(result.in_region[i])
             assert int(row[4]) == result.bs_id[i]
             assert float(row[6]) == pytest.approx(float(result.rate_bps[i]), rel=1e-5)
+
+    def test_header_names_the_density_exactly(self, capsys, fast_config):
+        code, out, _ = run_cli(capsys, "--config", fast_config, "--runs", "1",
+                               "--dump-run", "4.000001:MS,0")
+        assert code == 0
+        assert "\n# cell lambda_m=4.000001 policy=MS run_index=0 converged=" in out
 
     def test_tier_column_names_the_serving_tier(self):
         # station 0 is the one LTE station: unattached, LTE, mmWave

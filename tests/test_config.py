@@ -297,6 +297,9 @@ INVALID = [
      "mmw_density_grid_per_km2: densities must be >= 0"),
     ("mmw_density_grid_per_km2", (4.0, float("inf")),
      "mmw_density_grid_per_km2[1]: must be finite"),
+    # its seed key, round(lambda * 1e6), would overflow
+    ("mmw_density_grid_per_km2", (4.0, 1e308),
+     "mmw_density_grid_per_km2: densities must be < 1e302"),
     ("mmw_density_grid_per_km2", (4.0, 8.0, 4.0), "mmw_density_grid_per_km2: duplicate entry"),
     # the run seeds key a density by round(lambda * 1e6), so these would be
     # two rows of the same runs

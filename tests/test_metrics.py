@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +17,7 @@ from v2isim.channel import Tier
 from v2isim.engine import RunResult
 from v2isim.metrics import (
     CSV_COLUMNS,
-    RunMetrics,
+    RUN_FIGURES,
     compute_run_metrics,
     lte_ratio,
     satisfaction_ratio,
@@ -53,7 +52,7 @@ class TestMeanRatePerClass:
 
     def test_other_classes_ignored(self):
         result = run_result(class_k=[1, 4, 1], rate_bps=[1e6, 9e9, 3e6])
-        assert compute_run_metrics(result).figures["mean_rate_1_bps"] == pytest.approx(2e6)
+        assert compute_run_metrics(result)["mean_rate_1_bps"] == pytest.approx(2e6)
 
     def test_empty_class_is_undefined_not_zero(self):
         assert math.isnan(mean_rate_per_class(arr([])))
@@ -147,25 +146,19 @@ class TestJainIndex:
         assert jain_index(rates * 37.5) == pytest.approx(jain_index(rates), rel=1e-12)
 
 
-def figures(p_sat, p_lte=0.5, mean=1e6, jain=0.9):
-    return {"p_lte": p_lte, "p_sat": p_sat,
-            **{f"mean_rate_{k}_bps": mean for k in range(1, 5)},
-            **{f"jain_{k}": jain for k in range(1, 5)}}
-
-
 def metrics_row(p_sat, lambda_m=4.0, policy="MS", p_lte=0.5,
                 mean=1e6, jain=0.9, converged=True, class_rates=(5e5, 1.5e6)):
-    return RunMetrics(lambda_m=lambda_m, policy_name=policy,
-                      figures=figures(p_sat, p_lte, mean, jain),
-                      class_rates_bps=(arr(class_rates),) * 4,
-                      converged=converged)
+    """A run's row, as ``compute_run_metrics`` returns it."""
+    return {"lambda_m": lambda_m, "policy": policy, "p_lte": p_lte, "p_sat": p_sat,
+            **{f"mean_rate_{k}_bps": mean for k in range(1, 5)},
+            **{f"jain_{k}": jain for k in range(1, 5)},
+            "converged": converged, "class_rates_bps": (arr(class_rates),) * 4}
 
 
 def class4_row(rates, other=()):
     """A run whose class-4 vehicles have the given rates and whose classes
     1-3 all have the rates in ``other``."""
-    row = metrics_row(0.5)
-    return replace(row, class_rates_bps=(arr(other),) * 3 + (arr(rates),))
+    return {**metrics_row(0.5), "class_rates_bps": (arr(other),) * 3 + (arr(rates),)}
 
 
 class TestSummarize:
@@ -180,10 +173,7 @@ class TestSummarize:
 
     def test_undefined_markers_skipped_not_imputed(self):
         rows = [metrics_row(0.5), metrics_row(1.0)]
-        rows.append(RunMetrics(lambda_m=4.0, policy_name="MS",
-                               figures=figures(math.nan, mean=math.nan, jain=math.nan),
-                               class_rates_bps=(arr([]),) * 4,
-                               converged=True))
+        rows.append(metrics_row(math.nan, mean=math.nan, jain=math.nan, class_rates=()))
         summary = summarize(rows)
         assert summary["p_sat"] == pytest.approx(0.75)
         assert summary["run_count"] == 3
@@ -236,7 +226,7 @@ class TestSummarize:
         assert s_all["p_sat"] == pytest.approx(weighted, rel=1e-12)
 
 
-class TestComputeRunMetrics:
+class TestRunRow:
     def test_only_in_region_records_counted(self):
         result = run_result(
             class_k=[1, 1, 4], in_region=[True, False, True],
@@ -244,17 +234,24 @@ class TestComputeRunMetrics:
             rate_bps=[2e6, 1e9, 0.0])
         assert result.tier.tolist() == [Tier.LTE, Tier.MMWAVE, Tier.NONE]
         m = compute_run_metrics(result)
-        assert m.figures["p_lte"] == 0.5  # vehicle 1 is outside the region
-        assert m.figures["p_sat"] == 0.5
-        assert m.figures["mean_rate_1_bps"] == pytest.approx(2e6)
-        assert math.isnan(m.figures["mean_rate_2_bps"])
+        assert m["p_lte"] == 0.5  # vehicle 1 is outside the region
+        assert m["p_sat"] == 0.5
+        assert m["mean_rate_1_bps"] == pytest.approx(2e6)
+        assert math.isnan(m["mean_rate_2_bps"])
 
     def test_figures_in_the_order_of_the_pinned_law(self):
         # tests/golden/campaign_law.json keys each cell's figures by column
         law = json.loads((Path(__file__).parent / "golden" / "campaign_law.json").read_text())
         orders = {tuple(cell) for campaign in law.values() for cell in campaign.values()}
+        assert orders == {RUN_FIGURES}
+
+    def test_row_names_its_cell_and_every_figure(self):
         result = run_result(class_k=[1, 2, 3, 4], rate_bps=[2e6, 1e7, 1e8, 1e9])
-        assert orders == {tuple(compute_run_metrics(result).figures)}
+        row = compute_run_metrics(result)
+        assert list(row) == ["lambda_m", "policy", *RUN_FIGURES, "converged",
+                             "class_rates_bps"]
+        assert (row["lambda_m"], row["policy"], row["converged"]) == (4.0, "MS", True)
+        assert [r.tolist() for r in row["class_rates_bps"]] == [[2e6], [1e7], [1e8], [1e9]]
 
     def test_jain_bounds_on_simulated_run(self):
         from v2isim import ScenarioConfig, run_once
@@ -262,9 +259,9 @@ class TestComputeRunMetrics:
         result = run_once(ScenarioConfig(), 8.0, Policy.RA, 3)
         m = compute_run_metrics(result)
         for k in range(4):
-            j = m.figures[f"jain_{k + 1}"]
+            j = m[f"jain_{k + 1}"]
             if not math.isnan(j):
                 assert 0.0 < j <= 1.0 + 1e-12
-            p10 = worst_decile_mean(m.class_rates_bps[k])
+            p10 = worst_decile_mean(m["class_rates_bps"][k])
             if not math.isnan(p10):
-                assert p10 <= m.figures[f"mean_rate_{k + 1}_bps"] + 1e-9
+                assert p10 <= m[f"mean_rate_{k + 1}_bps"] + 1e-9
